@@ -67,11 +67,12 @@ def _load_model(spec: str) -> OscillatorModel:
     return OscillatorModel.from_json(data)
 
 
-def _parse_point(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
+    """'a,b,...' -> list of ``kind`` values."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ModelFormatError(f"bad point {text!r}: {exc}") from exc
+        raise ModelFormatError(f"bad list {text!r}: {exc}") from exc
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -139,7 +140,7 @@ def _cmd_expand_ground(args) -> int:
 
 def _cmd_expand_excited(args) -> int:
     model = _load_model(args.model)
-    levels = [int(v) for v in args.levels.split(",") if v.strip()]
+    levels = _parse_list(args.levels, int)
     trunc = (args.trunc if args.trunc is not None
              else 2 * args.order + sum(levels) + 2)
     action = solve_hj_formal(model, trunc)
@@ -189,7 +190,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_variational(args) -> int:
     model = _load_model(args.model)
-    point = _parse_point(args.point)
+    point = _parse_list(args.point)
     grid = GridSpec(horizon=args.horizon, nodes=args.nodes)
     result = minimize_action(model, point, grid, tol=args.tol)
     _emit_json(result.to_json(), args.output)
@@ -241,7 +242,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_flow(args) -> int:
     model = _load_model(args.model)
-    point = _parse_point(args.point)
+    point = _parse_list(args.point)
     provider = MomentumProvider(model, GridSpec(nodes=args.nodes))
     compare = None
     if not args.forward:
@@ -303,8 +304,12 @@ def _cmd_check_model(args) -> int:
     model = _load_model(args.model)
     box = None
     if args.box:
-        lo_text, hi_text = args.box.split(":")
-        box = [(float(lo_text), float(hi_text))] * model.dim
+        try:
+            lo_text, hi_text = args.box.split(":")
+            box = [(float(lo_text), float(hi_text))] * model.dim
+        except ValueError as exc:
+            raise ModelFormatError(
+                f"bad --box {args.box!r}, expected 'lo:hi'") from exc
     report = check_hypotheses(model, sample_box=box)
     _emit_json({
         "model": model.to_json(),

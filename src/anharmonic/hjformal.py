@@ -1,26 +1,36 @@
-"""Formal solution of the inverted-potential zero-energy Hamilton-Jacobi
-equation and formal linearization of its gradient flow field.
+"""Formal zero-energy Hamilton-Jacobi solution S0, the graded transport
+solver every quantum correction uses, and the Sternberg linearization.
 
-The equation (1/2m)|grad S0|^2 - V = 0 is solved degree by degree with the
-ansatz S0 = (1/2) m sum_i omega_i x_i^2 + sum_{d>=3} s_d, where each s_d is
-homogeneous of degree d.  At degree d the unknown enters only through the
-Euler-type operator sum_i omega_i x_i d/dx_i, which is diagonal on monomials
-with eigenvalue sum_i k_i omega_i > 0, so the recursion never divides by zero.
+Write S0 = q + h with q = (1/2) m sum_i omega_i x_i^2 and h of degree >= 3,
+so that (1/m) grad q . grad = E = sum_i omega_i x_i d_i with
+E x^k = (sum_i k_i omega_i) x^k.  The transport equation
+(1/m) grad S0 . grad u - shift u = rhs then reads, at degree d,
 
-The linearizing map mu (one series per coordinate) conjugates the field
-grad S0 / m to its linear part: D mu . (grad S0 / m) = (omega_i mu^i)_i.
-Its degree-d coefficients are obtained from the shifted divisor
-sum_j k_j omega_j - omega_i, which can vanish (resonance) for unlucky
-frequency combinations; that is reported, not worked around.
+    (E - shift) u_d = rhs_d - (1/m) sum_{a>=3} grad h_a . grad u_{d+2-a},
+
+which involves only lower slices of u.  So u is built one homogeneous slice
+at a time, forming just that slice of the product (an online or "relaxed"
+product: van der Hoeven, *Relax, but don't be too lazy*, 2002) and dividing
+each monomial x^k by sum_i k_i omega_i - shift.  The nonlinear equation
+(1/2m)|grad S0|^2 = V has the same shape, with shift 0:
+
+    E s_d = V_d - (1/2m) sum_{i+j=d+2; i,j>=3} grad s_i . grad s_j.
+
+The linearizing map mu^i, with D mu^i . (grad S0 / m) = omega_i mu^i, is the
+transport solution with shift omega_i seeded by x_i.  Its divisors
+sum_j k_j omega_j - omega_i can vanish (resonance) for unlucky frequencies;
+that is reported, not worked around.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .errors import BadTruncation, ResonantDivisor, TruncationTooSmall
+from .errors import (BadTruncation, DegenerateEigenvalue, ResonantDivisor,
+                     TruncationTooSmall)
 from .model import OscillatorModel
-from .series import PolySeries, dot_gradients
+from .series import PolySeries, dot_gradients, format_rational, grlex_key
 
 
 class FormalAction:
@@ -48,17 +58,97 @@ class SternbergMap:
         self.trunc = trunc
 
 
-def _solve_euler(residual: PolySeries, model: OscillatorModel) -> PolySeries:
-    """Solve (sum_i omega_i x_i d_i) s = -residual monomial-wise.
+# -- slices: dicts from the multi-indices of one total degree to Fractions
 
-    Every multi-index here has positive total degree, so the divisor
-    sum_i k_i omega_i is strictly positive.
+def _gradient(part: dict, dim: int) -> list[dict]:
+    """Per-axis partial derivatives of one homogeneous slice."""
+    grad: list[dict] = [{} for _ in range(dim)]
+    for k, c in part.items():
+        for i, e in enumerate(k):
+            if e:
+                grad[i][k[:i] + (e - 1,) + k[i + 1:]] = c * e
+    return grad
+
+
+def _add_dot(acc: dict, ga: list[dict], gb: list[dict], scale) -> None:
+    """acc += scale * (ga . gb) for two per-axis gradient slices."""
+    for pa, pb in zip(ga, gb):
+        for ka, ca in pa.items():
+            ca *= scale
+            for kb, cb in pb.items():
+                k = tuple(map(add, ka, kb))
+                acc[k] = acc.get(k, 0) + ca * cb
+
+
+def _divide(src: dict, omega, shift, free=None) -> tuple[dict, Fraction]:
+    """Solve (E - shift) u = src on one slice.
+
+    Returns (u, obstruction): ``obstruction`` is the coefficient of src at
+    ``free``, whose divisor vanishes and whose coefficient is left out of u.
+    Any other vanishing divisor on a nonzero coefficient raises
+    DegenerateEigenvalue, naming the first such monomial in grlex order.
     """
-    terms = {}
-    for k, c in residual.items():
-        divisor = sum(e * w for e, w in zip(k, model.omega))
-        terms[k] = -c / divisor
-    return PolySeries(residual.dim, residual.trunc, terms)
+    out = {}
+    resonant = []
+    for k, c in src.items():
+        if not c or k == free:
+            continue
+        divisor = sum(e * w for e, w in zip(k, omega)) - shift
+        if divisor:
+            out[k] = c / divisor
+        else:
+            resonant.append(k)
+    if resonant:
+        k = min(resonant, key=grlex_key)
+        raise DegenerateEigenvalue(
+            f"vanishing divisor on monomial {list(k)}: "
+            f"sum k_i omega_i = {format_rational(shift)}",
+            monomial=list(k))
+    return out, Fraction(src.get(free, 0))
+
+
+def solve_transport(action: FormalAction, shift, trunc: int,
+                    rhs: PolySeries | None = None, seed: tuple | None = None,
+                    free: tuple | None = None, kernel: PolySeries | None = None):
+    """Solve (1/m) grad S0 . grad u - shift u = rhs + lam kernel through
+    degree ``trunc``; returns (u, lam).
+
+    ``seed`` puts coefficient 1 on that monomial (its divisor vanishes).
+    ``free`` keeps coefficient 0 on it and fixes lam so that its equation
+    holds; ``kernel`` must solve the equation with rhs = 0 and be exactly
+    x^free through degree |free|.  Without a kernel lam enters only the
+    equation of ``free`` itself, which is exact for free = 0 and kernel = 1.
+    Slice d of u uses S0 through degree d + 2 - p, with p >= 1 the lowest
+    nonzero degree of u, so u is reliable while trunc <= S0.trunc + p - 2.
+    """
+    model = action.model
+    dim = model.dim
+    inv_m = Fraction(1) / model.mass
+    field = [_gradient(part, dim) if a >= 3 else None
+             for a, part in enumerate(action.S0.by_degree())]
+    rhs = rhs.by_degree() if rhs is not None else []
+    kernel = kernel.by_degree() if kernel is not None else []
+    pin = seed if seed is not None else free
+    pin_degree = sum(pin) if pin is not None else -1
+    terms: dict = {}
+    grads: list[list[dict]] = []
+    lam = Fraction(0)
+    for d in range(trunc + 1):
+        src = dict(rhs[d]) if d < len(rhs) else {}
+        for b in range(max(1, d + 3 - len(field)), d):
+            _add_dot(src, field[d + 2 - b], grads[b], -inv_m)
+        if lam and d < len(kernel):
+            for k, c in kernel[d].items():
+                src[k] = src.get(k, 0) + lam * c
+        part, obstruction = _divide(src, model.omega, shift,
+                                    pin if d == pin_degree else None)
+        if d == pin_degree:
+            lam = -obstruction
+            if seed is not None:
+                part[seed] = Fraction(1)
+        terms.update(part)
+        grads.append(_gradient(part, dim))
+    return PolySeries(dim, trunc, terms), lam
 
 
 def solve_hj_formal(model: OscillatorModel, trunc: int) -> FormalAction:
@@ -66,23 +156,20 @@ def solve_hj_formal(model: OscillatorModel, trunc: int) -> FormalAction:
     formally through total degree ``trunc``."""
     if trunc < 2:
         raise BadTruncation(f"truncation degree must be >= 2, got {trunc}")
-    V = model.potential_series(trunc)
-    S = model.quadratic_action(trunc)
+    V = model.potential_series(trunc).by_degree()
     inv_2m = Fraction(1, 2) / model.mass
+    terms: dict = {}
+    grads = [None] * 3  # only the slices of degree >= 3 enter the sums
     for d in range(3, trunc + 1):
-        # the gradient label is trunc - 1, but |grad S|^2 is still complete
-        # at degree trunc (every contributing factor has degree <= trunc - 1
-        # since both have valuation 1), so relabel up before multiplying
-        grad = [p.with_truncation(trunc) for p in S.gradient()]
-        residual = dot_gradients(grad, grad).scale(inv_2m).with_truncation(d) \
-            - V.with_truncation(d)
-        r_d = residual.homogeneous_component(d)
-        if r_d.is_zero():
-            continue
-        # Adding s_d changes the degree-d residual by exactly the Euler term
-        # (1/m) grad(quadratic part) . grad(s_d) = (sum omega_i x_i d_i) s_d.
-        S = S + _solve_euler(r_d, model).with_truncation(trunc)
-    return FormalAction(model, S)
+        src = dict(V[d])
+        for i in range(3, (d + 2) // 2 + 1):
+            j = d + 2 - i
+            _add_dot(src, grads[i], grads[j], -inv_2m if i == j else -2 * inv_2m)
+        part, _ = _divide(src, model.omega, 0)
+        terms.update(part)
+        grads.append(_gradient(part, model.dim))
+    S0 = model.quadratic_action(trunc) + PolySeries(model.dim, trunc, terms)
+    return FormalAction(model, S0)
 
 
 def hj_residual(action: FormalAction) -> PolySeries:
@@ -113,41 +200,32 @@ def sternberg_linearize(action: FormalAction, trunc: int) -> SternbergMap:
             f">= {trunc + 1}, got {action.trunc}",
             required=trunc + 1, available=action.trunc)
     model = action.model
-    field = [f.with_truncation(trunc) for f in flow_field(action)]
     mu: list[PolySeries] = []
-    for axis in range(model.dim):
-        unit = tuple(1 if j == axis else 0 for j in range(model.dim))
-        comp = PolySeries.monomial(unit, 1, trunc)
-        for d in range(2, trunc + 1):
-            # The product D mu . field is complete through degree `trunc`
-            # even though its factors carry lower truncation labels: the
-            # field has no constant term, so the degree-d slice only uses
-            # derivative components of degree <= d - 1.
-            pushed = dot_gradients(comp.gradient(), field).with_truncation(trunc)
-            residual = (pushed - comp.scale(model.omega[axis])) \
-                .homogeneous_component(d)
-            if residual.is_zero():
-                continue
-            terms = {}
-            for k, c in residual.items():
-                divisor = sum(e * w for e, w in zip(k, model.omega)) \
-                    - model.omega[axis]
-                if divisor == 0:
-                    raise ResonantDivisor(
-                        f"resonant divisor for monomial {list(k)} on axis "
-                        f"{axis}: sum k_j omega_j = omega_{axis}",
-                        monomial=list(k), axis=axis)
-                terms[k] = -c / divisor
-            comp = comp + PolySeries(model.dim, trunc, terms)
+    for axis, w in enumerate(model.omega):
+        unit = tuple(int(j == axis) for j in range(model.dim))
+        try:
+            comp, _ = solve_transport(action, w, trunc, seed=unit)
+        except DegenerateEigenvalue as exc:
+            k = exc.payload["monomial"]
+            raise ResonantDivisor(
+                f"resonant divisor for monomial {k} on axis {axis}: "
+                f"sum k_j omega_j = omega_{axis}",
+                monomial=k, axis=axis) from None
         mu.append(comp)
     return SternbergMap(model, mu, trunc)
 
 
 def sternberg_residual(smap: SternbergMap, action: FormalAction) -> list[PolySeries]:
-    """Pushforward defect D mu . (grad S0 / m) - (omega_i mu^i)_i per axis."""
-    field = [f.with_truncation(smap.trunc) for f in flow_field(action)]
+    """Pushforward defect D mu . (grad S0 / m) - (omega_i mu^i)_i per axis,
+    complete through degree ``smap.trunc``.
+
+    The field has no constant term, so the degree-t slice of D mu . field
+    only uses D mu below degree t, and both factors may be relabelled to t.
+    """
+    t = smap.trunc
+    field = [f.with_truncation(t) for f in flow_field(action)]
     out = []
     for axis, comp in enumerate(smap.mu):
-        pushed = dot_gradients(comp.gradient(), field).with_truncation(smap.trunc)
-        out.append(pushed - comp.scale(smap.model.omega[axis]))
+        grad = [g.with_truncation(t) for g in comp.gradient()]
+        out.append(dot_gradients(grad, field) - comp.scale(smap.model.omega[axis]))
     return out

@@ -47,22 +47,19 @@ class OscillatorModel:
     def anharmonic_degree(self) -> int:
         return self.anharmonic.max_degree()
 
+    def _quadratic(self, trunc: int, power: int) -> PolySeries:
+        """(1/2) m sum_i omega_i^power x_i^2."""
+        return PolySeries(self.dim, trunc, {
+            tuple(2 * (j == i) for j in range(self.dim)): self.mass * w ** power / 2
+            for i, w in enumerate(self.omega)})
+
     def potential_series(self, trunc: int) -> PolySeries:
         """V(x) as a series truncated at degree ``trunc``."""
-        terms = {}
-        for i, w in enumerate(self.omega):
-            k = tuple(2 if j == i else 0 for j in range(self.dim))
-            terms[k] = self.mass * w * w / 2
-        quad = PolySeries(self.dim, trunc, terms)
-        return quad + self.anharmonic.with_truncation(trunc)
+        return self._quadratic(trunc, 2) + self.anharmonic.with_truncation(trunc)
 
     def quadratic_action(self, trunc: int) -> PolySeries:
         """(1/2) m sum_i omega_i x_i^2, the harmonic part of the action."""
-        terms = {}
-        for i, w in enumerate(self.omega):
-            k = tuple(2 if j == i else 0 for j in range(self.dim))
-            terms[k] = self.mass * w / 2
-        return PolySeries(self.dim, trunc, terms)
+        return self._quadratic(trunc, 1)
 
     # -- numeric helpers ---------------------------------------------------
 

@@ -209,6 +209,14 @@ class PolySeries:
         terms = {k: c for k, c in self._terms.items() if sum(k) == degree}
         return PolySeries(self.dim, self.trunc, terms)
 
+    def by_degree(self) -> list[dict]:
+        """The terms split by total degree: entry d (0 <= d <= trunc) maps
+        each degree-d multi-index to its coefficient."""
+        graded: list[dict] = [{} for _ in range(self.trunc + 1)]
+        for k, c in self._terms.items():
+            graded[sum(k)][k] = c
+        return graded
+
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: Sequence) -> float:

@@ -5,24 +5,27 @@ Conventions (all exact rationals):
 * Energies are graded as E = hbar (E_0 + hbar E_1 + hbar^2/2! E_2 + ...);
   the list entry ``energies[k]`` stores E_k in that hbar^k/k! convention.
   ``energy_series`` converts to plain power-series coefficients e_k = E_k/k!.
-* Ground corrections satisfy, for k >= 1,
+* Each correction is one call of ``hjformal.solve_transport`` on a right
+  side built from the lower corrections.  Ground corrections (shift 0)
+  satisfy, for k >= 1,
       -(1/m) grad S_0 . grad S_k
       - (1/2m) sum_{j=1}^{k-1} C(k,j) grad S_j . grad S_{k-j}
       + (k/2m) lap S_{k-1}  =  k E_{k-1},
   with S_k(0) = 0 and E_{k-1} fixed by the degree-zero obstruction.
-* Excited states for quantum numbers m (|m| >= 1) are built from the gap
-  operator L = (1/m) grad S_0 . grad - dE_0 with dE_0 = sum m_i omega_i;
-  L is diagonal on monomials x^k with eigenvalue sum (k_i - m_i) omega_i.
-  For k >= 1,
-      L phi_k = (k/2m) lap phi_{k-1}
+* Excited states for quantum numbers m (|m| >= 1) use the shift
+  dE_0 = sum m_i omega_i, whose divisor vanishes on x^m.  phi_0 is seeded
+  by x^m with a zero right side; for k >= 1,
+      (1/m) grad S_0 . grad phi_k - dE_0 phi_k = (k/2m) lap phi_{k-1}
                 + sum_{j=1}^{k} C(k,j) [dE_j phi_{k-j}
                                         - (1/m) grad S_j . grad phi_{k-j}],
-  where dE_k is the unique constant removing the x^m obstruction and phi_k
-  carries a zero x^m coefficient for k >= 1.
+  where dE_k, the factor of phi_0 in the j = k term, is the unique constant
+  removing the x^m obstruction and phi_k carries a zero x^m coefficient.
 
 Truncation bookkeeping: with the action known through degree D, the k-th
 ground correction is reliable through D - 2k (each order consumes a
-Laplacian) and the k-th excited correction through D - 2k - 1.  The
+Laplacian), phi_0 through min(D, D + |m| - 2) (for |m| = 1 its degree-D
+slice would need S_0 at degree D + 1) and the k-th excited correction
+through D - 2k - 1.  Each series is labelled with that degree.  The
 constructors enforce these bounds and fail loudly when D is too small.
 """
 
@@ -31,12 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .errors import (
-    DegenerateEigenvalue,
-    IndexOutOfRange,
-    TruncationTooSmall,
-)
-from .hjformal import FormalAction
+from .errors import IndexOutOfRange, TruncationTooSmall
+from .hjformal import FormalAction, solve_transport
 from .model import OscillatorModel
 from .series import PolySeries, dot_gradients, format_rational
 
@@ -69,31 +68,6 @@ class ExcitedExpansion:
         self.gaps = list(gaps)
 
 
-def _euler_minus(residual: PolySeries, model: OscillatorModel,
-                 shift: Fraction, seed_index: tuple | None):
-    """Solve (sum_i omega_i x_i d_i - shift) s = -residual monomial-wise.
-
-    Returns (series, obstruction) where ``obstruction`` is the residual
-    coefficient at ``seed_index`` (whose divisor vanishes by construction).
-    Raises DegenerateEigenvalue when any other divisor vanishes on a nonzero
-    coefficient.
-    """
-    terms = {}
-    obstruction = Fraction(0)
-    for k, c in residual.items():
-        divisor = sum(e * w for e, w in zip(k, model.omega)) - shift
-        if divisor == 0:
-            if seed_index is not None and k == seed_index:
-                obstruction = c
-                continue
-            raise DegenerateEigenvalue(
-                f"vanishing divisor on monomial {list(k)}: "
-                f"sum k_i omega_i = {format_rational(shift)}",
-                monomial=list(k))
-        terms[k] = -c / divisor
-    return PolySeries(residual.dim, residual.trunc, terms), obstruction
-
-
 def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
     """Solve the ground-state transport hierarchy through ``order``."""
     if order < 1:
@@ -115,27 +89,9 @@ def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
         for j in range(1, k):
             rhs = rhs - dot_gradients(grads[j], grads[k - j]) \
                 .scale(Fraction(comb(k, j)) * inv_2m)
-        energy = rhs.constant_term / k
-        energies.append(energy)
-        rhs = rhs - PolySeries.constant(energy * k, model.dim, rhs.trunc)
-        # Solve (1/m) grad S_0 . grad S_k = rhs degree by degree: the
-        # degree-d residual moves by exactly the Euler term when the
-        # homogeneous degree-d piece is added.
-        sk = PolySeries.zero(model.dim, rhs.trunc)
-        # relabel both gradient factors to the target truncation before
-        # multiplying: their product is still complete there because every
-        # factor has valuation 1, and multiplying at the lower gradient
-        # label would silently drop the top-degree products
-        grad0_full = [p.with_truncation(rhs.trunc) for p in grads[0]]
-        for d in range(1, rhs.trunc + 1):
-            grad_sk = [p.with_truncation(rhs.trunc) for p in sk.gradient()]
-            lhs = dot_gradients(grad0_full, grad_sk) \
-                .scale(inv_m).with_truncation(d)
-            res_d = (lhs - rhs.with_truncation(d)).homogeneous_component(d)
-            if res_d.is_zero():
-                continue
-            piece, _ = _euler_minus(res_d, model, Fraction(0), None)
-            sk = sk + piece.with_truncation(rhs.trunc)
+        sk, lam = solve_transport(action, 0, rhs.trunc, rhs,
+                                  free=(0,) * model.dim)
+        energies.append(-lam / k)
         corrections.append(sk)
         grads.append(sk.gradient())
     return GroundExpansion(model, order, corrections, energies)
@@ -189,11 +145,10 @@ def excited_expansion(ground: GroundExpansion, quantum_numbers,
     inv_2m = inv_m / 2
     gap0 = sum(Fraction(q) * w for q, w in zip(m_idx, model.omega))
     S = ground.corrections
+    action = FormalAction(model, S[0])
     grads = [s.gradient() for s in S]
-    phi0 = _solve_gap_equation(
-        model, grads[0], gap0, m_idx,
-        rhs=PolySeries.zero(model.dim, D),
-        seed=PolySeries.monomial(m_idx, 1, D))
+    phi0, _ = solve_transport(action, gap0, min(D, D + sum(m_idx) - 2),
+                              seed=m_idx)
     corrections = [phi0]
     gaps = [gap0]
     for k in range(1, order + 1):
@@ -204,80 +159,36 @@ def excited_expansion(ground: GroundExpansion, quantum_numbers,
                 rhs = rhs + corrections[k - j].scale(c_kj * gaps[j])
             rhs = rhs - dot_gradients(grads[j], corrections[k - j].gradient()) \
                 .scale(c_kj * inv_m)
-        phik, gap_k = _solve_gap_equation(
-            model, grads[0], gap0, m_idx, rhs=rhs, seed=None, phi0=phi0)
+        phik, gap_k = solve_transport(action, gap0, rhs.trunc, rhs,
+                                      free=m_idx, kernel=phi0)
         corrections.append(phik)
         gaps.append(gap_k)
     return ExcitedExpansion(model, m_idx, order, corrections, gaps)
 
 
-def _solve_gap_equation(model, grad0, gap0, m_idx, rhs, seed, phi0=None):
-    """Solve L phi = rhs (+ dE phi0) with L = (1/m) grad S0 . grad - gap0.
-
-    With ``seed`` given (order zero) the seed monomial is imposed and the
-    series is returned alone.  Otherwise the unknown constant dE multiplying
-    ``phi0`` is fixed by the x^m obstruction and (phi, dE) is returned.
-    """
-    inv_m = Fraction(1) / model.mass
-    trunc = rhs.trunc if seed is None else seed.trunc
-    phi = seed if seed is not None else PolySeries.zero(model.dim, trunc)
-    gap_k = None
-    start = sum(m_idx) + 1 if seed is not None else 0
-    # see ground_expansion: relabel the valuation-1 gradient factors to the
-    # target truncation so top-degree products are not dropped
-    grad0_full = [p.with_truncation(trunc) for p in grad0]
-    for d in range(start, trunc + 1):
-        grad_phi = [p.with_truncation(trunc) for p in phi.gradient()]
-        lhs = dot_gradients(grad0_full, grad_phi).scale(inv_m) \
-            .with_truncation(d) - phi.scale(gap0).with_truncation(d)
-        res = lhs - rhs.with_truncation(d)
-        if gap_k is not None and phi0 is not None:
-            res = res - phi0.scale(gap_k).with_truncation(d)
-        res_d = res.homogeneous_component(d)
-        if seed is None and d == sum(m_idx):
-            piece, obstruction = _euler_minus(res_d, model, gap0, m_idx)
-            gap_k = obstruction
-            phi = phi + piece.with_truncation(trunc)
-            continue
-        if res_d.is_zero():
-            continue
-        piece, _ = _euler_minus(res_d, model, gap0,
-                                m_idx if seed is not None else m_idx)
-        phi = phi + piece.with_truncation(trunc)
-    if seed is not None:
-        return phi
-    return phi, gap_k if gap_k is not None else Fraction(0)
+def _plain(coeffs: list[Fraction]) -> list[Fraction]:
+    """hbar^k/k! coefficients to plain power-series coefficients."""
+    out, fact = [], 1
+    for k, e in enumerate(coeffs):
+        fact *= max(k, 1)
+        out.append(e / fact)
+    return out
 
 
 def energy_series(ground: GroundExpansion) -> list[Fraction]:
     """Plain power-series energy coefficients e_k = E_k / k!."""
-    out = []
-    fact = 1
-    for k, e in enumerate(ground.energies):
-        if k > 1:
-            fact *= k
-        out.append(e / fact)
-    return out
+    return _plain(ground.energies)
 
 
 def gap_series(excited: ExcitedExpansion) -> list[Fraction]:
     """Plain power-series gap coefficients dE_k / k!."""
-    out = []
-    fact = 1
-    for k, e in enumerate(excited.gaps):
-        if k > 1:
-            fact *= k
-        out.append(e / fact)
-    return out
+    return _plain(excited.gaps)
 
 
 def total_energy_series(ground: GroundExpansion,
                         excited: ExcitedExpansion) -> list[Fraction]:
     """Total excited-level coefficients e_k + (dE_k / k!), overlap orders."""
-    g = energy_series(ground)
-    x = gap_series(excited)
-    n = min(len(g), len(x))
-    return [g[k] + x[k] for k in range(n)]
+    return [e + g for e, g in zip(energy_series(ground), gap_series(excited))]
 
 
 def ground_report(ground: GroundExpansion) -> dict:

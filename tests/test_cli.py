@@ -184,6 +184,15 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err.strip())["error"] == "ModelFormatError"
 
+    @pytest.mark.parametrize("argv", [
+        ("expand-excited", "--model", "builtin:quartic", "--levels", "a"),
+        ("check-model", "--model", "builtin:quartic", "--box=abc"),
+    ], ids=["levels", "box"])
+    def test_malformed_value_is_2_with_json(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(err.strip())["error"] == "ModelFormatError"
+
     def test_kappa_required_subcommand_is_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compare",
                                "--model", degenerate_model_file(tmp_path))

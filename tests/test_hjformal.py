@@ -81,18 +81,20 @@ class TestSternberg:
         assert smap.mu[0].coefficient((1,)) == 1
 
     def test_1d_matches_brute_force_taylor(self):
-        """mu(x) = x (1 + 2 g x^2 / (m w^2))^... : odd-power Taylor data of
-        the closed-form linearizer, expanded by binomial series."""
-        g = Fraction(1, 7)
-        action = solve_hj_formal(quartic(g), 10)
-        smap = sternberg_linearize(action, 9)
-        # closed form: y = x (1+R)/2 * (R(1+R)/2)^(-1/2) with R = sqrt(1+2gx^2)
-        # brute-force expansion checked independently in test_closedform via
-        # floating-point agreement; here assert the leading exact values
-        mu = smap.mu[0]
-        assert mu.coefficient((1,)) == 1
-        # degree-3 coefficient solves (3 w - w) c = residual of the cubic push
-        assert mu.coefficient((3,)) != 0
+        """For V = x^2/2 + g x^4 the linearizer is mu = 2x / (1 + R) with
+        R = sqrt(1 + 2 g x^2), i.e. mu = 2x (R - 1) / (2 g x^2), whose
+        x^(2j-1) coefficient is 2 binom(1/2, j) (2g)^(j-1).  Every degree is
+        checked, the top one included."""
+        for g, degree in ((Fraction(1, 7), 9), (Fraction(1, 5), 3)):
+            action = solve_hj_formal(quartic(g), degree + 1)
+            mu = sternberg_linearize(action, degree).mu[0]
+            binom = Fraction(1)
+            expect = {}
+            for j in range(1, (degree + 1) // 2 + 1):
+                binom *= (Fraction(1, 2) - (j - 1)) / j
+                expect[(2 * j - 1,)] = 2 * binom * (2 * g) ** (j - 1)
+            assert dict(mu.items()) == expect
+            assert mu.trunc == degree
 
     def test_resonant_divisor_detected(self):
         """w = (1, 2) with A = x1^2 x2 hits k.w - w2 = 0 at k = (2, 0)... the

@@ -1,6 +1,7 @@
 """Ground and excited transport hierarchies over exact rationals."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,17 @@ from hypothesis import strategies as st
 from anharmonic.errors import (
     DegenerateEigenvalue,
     IndexOutOfRange,
+    ResonantDivisor,
     TruncationTooSmall,
 )
-from anharmonic.hjformal import hj_residual, solve_hj_formal
+from anharmonic.hjformal import (
+    hj_residual,
+    solve_hj_formal,
+    sternberg_linearize,
+    sternberg_residual,
+)
 from anharmonic.model import OscillatorModel, kappa_model
-from anharmonic.series import PolySeries
+from anharmonic.series import PolySeries, dot_gradients
 from anharmonic.transport import (
     energy_series,
     excited_expansion,
@@ -129,6 +136,22 @@ class TestExcited:
         with pytest.raises(IndexOutOfRange):
             excited_expansion(ground, [0], 1)
 
+    def test_phi0_labelled_where_reliable(self):
+        """phi_0 from action truncation D agrees with phi_0 from D + 1
+        through its label, which is D - 1 for |m| = 1: the x^D coefficient
+        would need S_0 at degree D + 1."""
+        model = kappa_model(2, g=Fraction(1, 5))
+
+        def phi0(level, trunc):
+            ground = expand(model, 1, trunc=trunc)
+            return excited_expansion(ground, [level], 0).corrections[0]
+
+        for level, label in ((1, 6), (2, 7)):
+            low, high = phi0(level, 7), phi0(level, 8)
+            assert low.trunc == label
+            assert high.with_truncation(label) == low
+        assert phi0(1, 8).coefficient((7,)) == Fraction(-1, 200)
+
     def test_excited_budget_enforced(self):
         ground = expand(kappa_model(2), 2, trunc=6)
         with pytest.raises(TruncationTooSmall):
@@ -161,11 +184,56 @@ def random_models(draw):
     return OscillatorModel(mass, omega, PolySeries(dim, 6, terms))
 
 
+_levels = _dims.flatmap(
+    lambda dim: st.lists(st.integers(min_value=0, max_value=2),
+                         min_size=dim, max_size=dim)
+).filter(lambda m: 1 <= sum(m) <= 2)
+
+
+def excited_residual(ground, excited, k):
+    """LHS - RHS of the k-th excited equation, rebuilt with full products
+    through the label t of phi_k.  Relabelling the gradients to t is exact:
+    a factor is only needed above its own label where the other factor is
+    grad S_0, which has no constant term."""
+    inv_m = Fraction(1) / ground.model.mass
+    S, phi, dE = ground.corrections, excited.corrections, excited.gaps
+    t = phi[k].trunc
+
+    def dot(a, b):
+        return dot_gradients([g.with_truncation(t) for g in a.gradient()],
+                             [g.with_truncation(t) for g in b.gradient()])
+
+    out = dot(S[0], phi[k]).scale(inv_m) - phi[k].scale(dE[0])
+    if k:
+        out = out - phi[k - 1].laplacian().scale(Fraction(k, 2) * inv_m)
+    for j in range(1, k + 1):
+        c = comb(k, j)
+        out = out - phi[k - j].scale(c * dE[j]) \
+            + dot(S[j], phi[k - j]).scale(c * inv_m)
+    return out
+
+
 @settings(max_examples=40, deadline=None)
-@given(random_models(), st.integers(min_value=1, max_value=4))
-def test_random_model_residuals_vanish(model, order):
+@given(random_models(), st.integers(min_value=1, max_value=4), _levels)
+def test_random_model_residuals_vanish(model, order, levels):
     action = solve_hj_formal(model, 2 * order + 2)
     assert hj_residual(action).is_zero()
     ground = ground_expansion(action, order)
     for k in range(1, order + 1):
         assert transport_residual(ground, k).is_zero()
+    try:
+        excited = excited_expansion(ground, levels, order + 1 - sum(levels))
+    except DegenerateEigenvalue:
+        pass
+    else:
+        assert excited.corrections[0].coefficient(levels) == 1
+        assert all(p.coefficient(levels) == 0
+                   for p in excited.corrections[1:])
+        for k in range(excited.order + 1):
+            assert excited_residual(ground, excited, k).is_zero()
+    try:
+        smap = sternberg_linearize(action, action.trunc - 1)
+    except ResonantDivisor:
+        pass
+    else:
+        assert all(r.is_zero() for r in sternberg_residual(smap, action))
