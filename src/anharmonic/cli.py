@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -211,17 +209,11 @@ def _scan_variational(model, args):
     points = [list(p) for p in product(axis, repeat=model.dim)]
     grid = GridSpec(horizon=args.horizon, nodes=args.nodes)
 
-    def run(point):
+    rows = []
+    for point in points:
         r = minimize_action(model, point, grid, tol=args.tol)
-        return (*point, r.action, *r.momentum.tolist(),
-                r.hj_residual, r.ip_energy_drift, r.iterations)
-
-    threads = args.threads or int(os.environ.get("ANHARMONIC_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, points))
-    else:
-        rows = [run(p) for p in points]
+        rows.append((*point, r.action, *r.momentum.tolist(),
+                     r.hj_residual, r.ip_energy_drift, r.iterations))
     header = ([f"x{i + 1}" for i in range(model.dim)] + ["action"]
               + [f"p{i + 1}" for i in range(model.dim)]
               + ["hj_residual", "ip_energy_drift", "iterations"])
@@ -386,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nodes", type=int, default=400)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--threads", type=int, default=None,
-                   help="override ANHARMONIC_THREADS")
+                   help="accepted for compatibility; has no effect")
     add_common(p)
     p.set_defaults(func=_cmd_scan)
 

@@ -8,8 +8,9 @@ over curves pinned to the origin at t = -T (standing in for t -> -infinity)
 and to x at t = 0.  Discretization: nodes uniform in tau = exp(omega_min t)
 so resolution concentrates near t = 0, piecewise-linear curves, trapezoidal
 quadrature.  The discrete problem is smooth and (for convex V) strictly
-convex, so a damped Newton iteration with an exact block-tridiagonal Hessian
-solve converges to machine precision deterministically.
+convex, so a damped Newton iteration converges to machine precision
+deterministically.  Its exact Hessian is block-tridiagonal with bandwidth
+dim, and each step is one banded Cholesky solve (``solveh_banded``).
 
 Accuracy: the trapezoidal/piecewise-linear error is O(h^2) in the node
 spacing, so by default the solver re-minimizes on a doubled grid and
@@ -27,18 +28,16 @@ differences of the momentum field.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import (
     GradientProviderFailure,
     HypothesisViolation,
+    ModelFormatError,
     NoConvergence,
 )
 from .model import OscillatorModel
@@ -115,6 +114,14 @@ class GridSpec:
     """Discretization parameters: time horizon and node count."""
     horizon: float | None = None  # default 40 / omega_min
     nodes: int = 400
+
+    def __post_init__(self):
+        # nodes counts intervals; the 5-point velocity stencils need 5 points
+        if self.nodes < 4:
+            raise ModelFormatError(f"grid needs nodes >= 4, got {self.nodes}")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ModelFormatError(
+                f"grid horizon must be finite and positive, got {self.horizon}")
 
     def resolve_horizon(self, omega_min: float) -> float:
         return self.horizon if self.horizon is not None else 40.0 / omega_min
@@ -235,32 +242,24 @@ def _action_and_gradient(ev: _ModelEval, times, pts):
 
 
 def _newton_step_matrix(ev: _ModelEval, times, pts):
-    """Block-tridiagonal Hessian of the discrete action (interior nodes)."""
+    """Hessian of the discrete action at the interior nodes, in the upper
+    banded storage of ``solveh_banded``: row n - u holds superdiagonal u.
+
+    The diagonal blocks fill rows 1..n; the off-diagonal blocks are
+    -m/dt times the identity, i.e. superdiagonal n, which is row 0.
+    """
     n = ev.dim
     dt = np.diff(times)
     inner = pts.shape[0] - 2
     weights = 0.5 * (dt[:-1] + dt[1:])
-    hess_v = ev.potential_hessian(pts[1:-1]) * weights[:, None, None]
-    eye = np.eye(n)
-    diag_blocks = hess_v + (ev.mass * (1.0 / dt[:-1] + 1.0 / dt[1:]))[:, None, None] * eye
-    off = -ev.mass / dt[1:-1]
-    data, rows, cols = [], [], []
-    for b in range(inner):
-        base = b * n
-        blk = diag_blocks[b]
-        for i in range(n):
-            for j in range(n):
-                if blk[i, j] != 0.0:
-                    rows.append(base + i)
-                    cols.append(base + j)
-                    data.append(blk[i, j])
-        if b + 1 < inner:
-            for i in range(n):
-                rows.extend([base + i, base + n + i])
-                cols.extend([base + n + i, base + i])
-                data.extend([off[b], off[b]])
-    size = inner * n
-    return sp.csc_matrix((data, (rows, cols)), shape=(size, size))
+    blocks = ev.potential_hessian(pts[1:-1]) * weights[:, None, None]
+    blocks += (ev.mass * (1.0 / dt[:-1] + 1.0 / dt[1:]))[:, None, None] * np.eye(n)
+    band = np.zeros((n + 1, inner * n))
+    for u in range(n):
+        i = np.arange(n - u)
+        band[n - u].reshape(inner, n)[:, u:] = blocks[:, i, i + u]
+    band[0].reshape(inner, n)[1:] = (-ev.mass / dt[1:-1])[:, None]
+    return band
 
 
 def _minimize_on_grid(ev: _ModelEval, times, pts0, tol, max_iter=60):
@@ -272,13 +271,13 @@ def _minimize_on_grid(ev: _ModelEval, times, pts0, tol, max_iter=60):
         gnorm = np.linalg.norm(g_inner)
         if gnorm <= tol * (1.0 + abs(action)):
             return pts, action, True, iterations
-        H = _newton_step_matrix(ev, times, pts)
+        band = _newton_step_matrix(ev, times, pts)
         try:
-            step = spla.spsolve(H, -g_inner)
-        except RuntimeError as exc:
+            step = solveh_banded(band, -g_inner, check_finite=False)
+        except LinAlgError as exc:
             raise HypothesisViolation(
-                f"Newton system could not be solved (non-convex Hessian "
-                f"along the path?): {exc}") from exc
+                f"discrete Hessian is not positive definite (non-convex "
+                f"potential along the path?): {exc}") from exc
         if not np.all(np.isfinite(step)) or float(step @ g_inner) >= 0.0:
             raise HypothesisViolation(
                 "Newton direction is not a descent direction; the sampled "
@@ -302,26 +301,25 @@ def _minimize_on_grid(ev: _ModelEval, times, pts0, tol, max_iter=60):
     return pts, action, False, iterations
 
 
-def _stencil_weights(ts: np.ndarray, t0: float) -> np.ndarray:
-    """First-derivative weights at t0 for arbitrary nodes ts (Vandermonde)."""
-    d = ts - t0
-    k = len(ts)
-    mat = np.vander(d, k, increasing=True).T  # mat[i, j] = d_j^i
+def _stencil_weights(ts: np.ndarray, t0) -> np.ndarray:
+    """First-derivative weights at t0 for nodes ts (Vandermonde), batched
+    over the leading axes of ts (..., k) and t0 (...)."""
+    d = ts - np.asarray(t0)[..., None]
+    k = ts.shape[-1]
+    mat = d[..., None, :] ** np.arange(k)[:, None]  # mat[..., i, j] = d_j^i
     rhs = np.zeros(k)
     rhs[1] = 1.0
     return np.linalg.solve(mat, rhs)
 
 
 def _node_velocities(times: np.ndarray, pts: np.ndarray, width: int = 5) -> np.ndarray:
-    """Velocity estimates at every node from local polynomial stencils."""
+    """Velocity estimates at every node from local polynomial stencils,
+    clipped to lie inside the grid at both ends."""
     n_nodes = len(times)
-    vel = np.zeros_like(pts)
-    half = width // 2
-    for i in range(n_nodes):
-        lo = min(max(i - half, 0), n_nodes - width)
-        w = _stencil_weights(times[lo:lo + width], times[i])
-        vel[i] = w @ pts[lo:lo + width]
-    return vel
+    lo = np.clip(np.arange(n_nodes) - width // 2, 0, n_nodes - width)
+    window = lo[:, None] + np.arange(width)
+    weights = _stencil_weights(times[window], times)
+    return np.einsum("ij,ijk->ik", weights, pts[window])
 
 
 def initial_guess(ev: _ModelEval, times: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -357,6 +355,10 @@ def minimize_action(model: OscillatorModel, x, grid: GridSpec | None = None,
         fine_pts, fine_action, converged, it2 = _minimize_on_grid(
             ev, fine_times, fine0, tol)
         iters += it2
+        if not converged:
+            raise NoConvergence(
+                f"Newton iteration cap reached on the refined grid at "
+                f"{it2} iterations", iterations=it2)
         # both the action value and the node positions converge at O(h^2),
         # and the coarse nodes are exactly every other fine node (the grids
         # are uniform in tau), so Richardson-extrapolate both

@@ -101,14 +101,16 @@ class TestNumerics:
         assert float(rows[3][0]) == 0.0
 
     def test_scan_variational_threads(self, capsys):
-        code, out, _ = run_cli(capsys, "scan", "--model", "builtin:quartic",
-                               "--grid", "0.2:0.6:3",
-                               "--engine", "variational",
-                               "--nodes", "100", "--threads", "2")
+        argv = ("scan", "--model", "builtin:quartic", "--grid", "0.2:0.6:3",
+                "--engine", "variational", "--nodes", "100")
+        code, out, _ = run_cli(capsys, *argv, "--threads", "2")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][:2] == ["x1", "action"]
         assert len(rows) == 4
+        # --threads has no effect: the output is the same to the byte
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0 and plain == out
 
     def test_flow_backward(self, capsys):
         code, out, _ = run_cli(capsys, "flow", "--model", "builtin:quartic",
@@ -190,6 +192,20 @@ class TestExitCodes:
     ], ids=["levels", "box"])
     def test_malformed_value_is_2_with_json(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(err.strip())["error"] == "ModelFormatError"
+
+    @pytest.mark.parametrize("argv", [
+        (*command, *grid)
+        for command in (("variational", "--point", "0.5"),
+                        ("scan", "--grid", "0.2:0.4:2", "--engine", "variational"),
+                        ("flow", "--point", "0.5"))
+        for grid in (("--nodes", "0"), ("--nodes", "3"), ("--horizon", "0"),
+                     ("--horizon=-1",), ("--horizon", "nan"), ("--horizon", "inf"))
+        if command[0] != "flow" or grid[0] == "--nodes"
+    ], ids=" ".join)
+    def test_bad_grid_is_2_with_json(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--model", "builtin:quartic")
         assert code == 2
         assert json.loads(err.strip())["error"] == "ModelFormatError"
 

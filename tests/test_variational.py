@@ -5,20 +5,29 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
+from anharmonic import variational
 from anharmonic.closedform import Kappa1DModel, s0_closed, s1_closed
-from anharmonic.errors import GradientProviderFailure, HypothesisViolation
+from anharmonic.errors import (
+    GradientProviderFailure,
+    HypothesisViolation,
+    NoConvergence,
+)
 from anharmonic.model import OscillatorModel, kappa_model
 from anharmonic.series import PolySeries
 from anharmonic.variational import (
     FlowTrajectory,
     GridSpec,
     MomentumProvider,
+    _action_and_gradient,
     _ModelEval,
     _newton_step_matrix,
+    _node_velocities,
     check_hypotheses,
     decay_bound_satisfied,
     graded_times,
+    initial_guess,
     minimize_action,
     numeric_s1,
     semi_flow,
@@ -33,6 +42,15 @@ def coupled_2d(trunc=8):
     """V = (x1^2 + x2^2)/2 + x1^2 x2^2 / 4."""
     A = PolySeries(2, trunc, {(2, 2): Fraction(1, 4)})
     return OscillatorModel(1, [Fraction(1), Fraction(1)], A)
+
+
+def band_to_dense(band):
+    """Symmetric matrix from the upper banded storage of solveh_banded."""
+    u = band.shape[0] - 1
+    dense = np.diag(band[u])
+    for k in range(1, u + 1):
+        dense += np.diag(band[u - k, k:], k) + np.diag(band[u - k, k:], -k)
+    return dense
 
 
 class TestMinimizer:
@@ -74,9 +92,54 @@ class TestMinimizer:
         ev = _ModelEval(model)
         result = minimize_action(model, [1.0], GridSpec(nodes=60),
                                  refine=False)
-        H = _newton_step_matrix(ev, result.curve.times, result.curve.points)
-        eigs = np.linalg.eigvalsh(H.toarray())
+        band = _newton_step_matrix(ev, result.curve.times, result.curve.points)
+        eigs = np.linalg.eigvalsh(band_to_dense(band))
         assert eigs[0] > 0.0
+
+    def test_banded_hessian_matches_gradient_differences(self):
+        """The band is the Jacobian of the interior gradient, and the banded
+        Cholesky step equals a dense solve."""
+        A = PolySeries(2, 8, {(2, 2): Fraction(1, 4), (3, 1): Fraction(1, 10),
+                              (4, 0): Fraction(1, 8)})
+        model = OscillatorModel(2, [Fraction(1), Fraction(3, 2)], A)
+        ev = _ModelEval(model)
+        times = graded_times(ev.omega_min, 20.0, 12)
+        pts = initial_guess(ev, times, np.array([0.6, -0.4]))
+        pts[0] = 0.0
+        pts[1:-1] *= 1.0 + 0.2 * np.sin(np.arange(1, 12))[:, None]
+        band = _newton_step_matrix(ev, times, pts)
+        dense = band_to_dense(band)
+        size = 2 * 11
+        assert dense.shape == (size, size)
+        h = 1e-6
+        fd = np.empty((size, size))
+        for c in range(size):
+            step = np.zeros(size)
+            step[c] = h
+            plus, minus = pts.copy(), pts.copy()
+            plus[1:-1] += step.reshape(11, 2)
+            minus[1:-1] -= step.reshape(11, 2)
+            g_plus = _action_and_gradient(ev, times, plus)[1][1:-1].ravel()
+            g_minus = _action_and_gradient(ev, times, minus)[1][1:-1].ravel()
+            fd[:, c] = (g_plus - g_minus) / (2.0 * h)
+        assert np.abs(dense - fd).max() <= 1e-6 * np.abs(dense).max()
+        grad = _action_and_gradient(ev, times, pts)[1][1:-1].ravel()
+        assert solveh_banded(band, -grad) == pytest.approx(
+            np.linalg.solve(dense, -grad), rel=1e-10, abs=1e-14)
+
+    def test_unconverged_refined_solve_raises(self, monkeypatch):
+        real = variational._minimize_on_grid
+        grids = []
+
+        def coarse_only(ev, times, pts0, tol, max_iter=60):
+            pts, action, converged, iters = real(ev, times, pts0, tol, max_iter)
+            grids.append(len(times))
+            return pts, action, converged and len(grids) == 1, iters
+
+        monkeypatch.setattr(variational, "_minimize_on_grid", coarse_only)
+        with pytest.raises(NoConvergence):
+            minimize_action(quartic(), [0.5], GridSpec(nodes=50))
+        assert grids == [51, 101]
 
     def test_harmonic_2d_exact_action(self):
         model = OscillatorModel(1, [Fraction(1), Fraction(2)],
@@ -215,3 +278,19 @@ class TestGrid:
         assert steps == pytest.approx(np.full(50, steps[0]), rel=1e-12)
         assert times[-1] == pytest.approx(0.0, abs=1e-14)
         assert times[0] == pytest.approx(-20.0, rel=1e-12)
+
+    def test_node_velocities_exact_for_quartic_polynomials(self):
+        """5-point stencils differentiate degree <= 4 exactly at every node,
+        the clipped windows at both ends included."""
+        times = graded_times(1.0, 40.0, 50)
+        pts = np.stack([times ** k for k in range(5)], axis=1)
+        exact = np.stack([k * times ** max(k - 1, 0) for k in range(5)], axis=1)
+        vel = _node_velocities(times, pts)
+        assert vel.shape == pts.shape
+        for k in range(5):
+            scale = max(1.0, float(np.abs(exact[:, k]).max()))
+            assert np.abs(vel[:, k] - exact[:, k]).max() <= 1e-9 * scale
+
+    def test_smallest_grid_minimizes(self):
+        result = minimize_action(quartic(), [0.5], GridSpec(nodes=4))
+        assert result.converged and math.isfinite(result.action)
