@@ -173,11 +173,15 @@ def solve_hj_formal(model: OscillatorModel, trunc: int) -> FormalAction:
 
 
 def hj_residual(action: FormalAction) -> PolySeries:
-    """(1/2m)|grad S0|^2 - V, reliable through degree trunc - 1."""
-    grad = action.S0.gradient()
+    """(1/2m)|grad S0|^2 - V, complete through degree trunc.
+
+    grad S0 has no constant term, so the degree-t slice of |grad S0|^2 only
+    uses grad S0 below degree t, and the factors may be relabelled to t.
+    """
+    t = action.trunc
+    grad = [g.with_truncation(t) for g in action.S0.gradient()]
     inv_2m = Fraction(1, 2) / action.model.mass
-    V = action.model.potential_series(max(action.trunc - 1, 0))
-    return dot_gradients(grad, grad).scale(inv_2m) - V
+    return dot_gradients(grad, grad).scale(inv_2m) - action.model.potential_series(t)
 
 
 def flow_field(action: FormalAction) -> list[PolySeries]:

@@ -61,22 +61,6 @@ class OscillatorModel:
         """(1/2) m sum_i omega_i x_i^2, the harmonic part of the action."""
         return self._quadratic(trunc, 1)
 
-    # -- numeric helpers ---------------------------------------------------
-
-    def potential_value(self, point: Sequence) -> float:
-        quad = 0.0
-        for w, x in zip(self.omega, point):
-            quad += float(w) ** 2 * float(x) ** 2
-        return 0.5 * float(self.mass) * quad + self.anharmonic.evaluate(point)
-
-    def potential_gradient(self, point: Sequence) -> list[float]:
-        m = float(self.mass)
-        out = []
-        for i, (w, x) in enumerate(zip(self.omega, point)):
-            out.append(m * float(w) ** 2 * float(x)
-                       + self.anharmonic.partial_derivative(i).evaluate(point))
-        return out
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:

@@ -85,16 +85,17 @@ def pade_coefficients(series: list[Fraction], p: int, q: int):
 
 
 def _poles_on_ray(den: list[Fraction], mu: float) -> list[float]:
-    """Real positive roots of the denominator in the t variable."""
+    """Positive t at which the denominator vanishes at s = mu t: the real
+    roots r with r / mu > 0, whatever the sign of mu (none for mu = 0)."""
     coeffs = [float(c) for c in reversed(den)]
-    if len(coeffs) < 2:
+    if len(coeffs) < 2 or mu == 0:
         return []
     roots = np.roots(coeffs)
     hits = []
     for r in roots:
-        if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)) and r.real > 0:
-            t_pole = r.real / mu if mu > 0 else math.inf
-            if t_pole < _TAIL_CUTOFF:
+        if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)):
+            t_pole = r.real / mu
+            if 0 < t_pole < _TAIL_CUTOFF:
                 hits.append(float(t_pole))
     return sorted(hits)
 
@@ -109,12 +110,11 @@ def borel_pade(series, mu: float, p: int, q: int) -> float:
             fact *= k
         borel.append(c / fact)
     num, den = pade_coefficients(borel, p, q)
-    if mu > 0:
-        poles = _poles_on_ray(den, mu)
-        if poles:
-            raise PoleOnRay(
-                f"Pade denominator vanishes on the integration ray at "
-                f"t = {poles[0]:.6g}", poles=poles)
+    poles = _poles_on_ray(den, mu)
+    if poles:
+        raise PoleOnRay(
+            f"Pade denominator vanishes on the integration ray at "
+            f"t = {poles[0]:.6g}", poles=poles)
     num_f = [float(c) for c in num]
     den_f = [float(c) for c in den]
 

@@ -98,7 +98,13 @@ def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
 
 
 def transport_residual(ground: GroundExpansion, k: int) -> PolySeries:
-    """LHS - RHS of the k-th ground transport equation (zero if valid)."""
+    """LHS - RHS of the k-th ground transport equation, complete through
+    the truncation t of S_k (zero if valid).
+
+    grad S_0 has no constant term, so the degree-t slice of
+    grad S_0 . grad S_k only uses grad S_k below degree t; the other factors
+    are known through t.  So every factor may be relabelled to t.
+    """
     if not (1 <= k <= ground.order):
         raise IndexOutOfRange(
             f"transport order {k} outside [1, {ground.order}]")
@@ -106,13 +112,17 @@ def transport_residual(ground: GroundExpansion, k: int) -> PolySeries:
     inv_m = Fraction(1) / model.mass
     inv_2m = inv_m / 2
     S = ground.corrections
-    lhs = dot_gradients(S[0].gradient(), S[k].gradient()).scale(-inv_m)
+    t = S[k].trunc
+
+    def grad(j):
+        return [g.with_truncation(t) for g in S[j].gradient()]
+
+    lhs = dot_gradients(grad(0), grad(k)).scale(-inv_m)
     for j in range(1, k):
-        lhs = lhs - dot_gradients(S[j].gradient(), S[k - j].gradient()) \
+        lhs = lhs - dot_gradients(grad(j), grad(k - j)) \
             .scale(Fraction(comb(k, j)) * inv_2m)
-    lhs = lhs + S[k - 1].laplacian().scale(Fraction(k) * inv_2m)
-    rhs = PolySeries.constant(Fraction(k) * ground.energies[k - 1],
-                              model.dim, lhs.trunc)
+    lhs = lhs + S[k - 1].laplacian().with_truncation(t).scale(Fraction(k) * inv_2m)
+    rhs = PolySeries.constant(Fraction(k) * ground.energies[k - 1], model.dim, t)
     return lhs - rhs
 
 

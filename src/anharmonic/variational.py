@@ -21,8 +21,9 @@ Also here: sampled coercivity/convexity hypothesis checks, the gradient
 semi-flow integrator (which must retrace the minimizer curve), and the
 numerical first transport integral
     S_1(x) = int_{-inf}^{0} [ (lap S_0)/(2m) - sum_j omega_j / 2 ](gamma(t)) dt
-with the Hessian of S_0 obtained from Richardson-extrapolated finite
-differences of the momentum field.
+with the Hessian of S_0 the exact x-derivative of the discrete momentum:
+by the implicit function theorem the minimizer moves with its endpoint as
+dP/dx = H^-1 (dg/dx), one extra banded solve with the Newton matrix H.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import (
@@ -269,6 +270,11 @@ def _minimize_on_grid(ev: _ModelEval, times, pts0, tol, max_iter=60):
     for _ in range(max_iter):
         g_inner = grad[1:-1].ravel()
         gnorm = np.linalg.norm(g_inner)
+        # an infinite action passes any relative stopping test
+        if not (math.isfinite(action) and math.isfinite(gnorm)):
+            raise NoConvergence(
+                f"discrete action or gradient is not finite (action {action}, "
+                f"gradient norm {gnorm})", iterations=iterations)
         if gnorm <= tol * (1.0 + abs(action)):
             return pts, action, True, iterations
         band = _newton_step_matrix(ev, times, pts)
@@ -389,53 +395,52 @@ def minimize_action(model: OscillatorModel, x, grid: GridSpec | None = None,
 # -- momentum field provider ---------------------------------------------------
 
 class MomentumProvider:
-    """Caching grad S_0 sampler built on repeated action minimizations.
+    """grad S_0 and its Hessian, one action minimization per call.
 
     ``momentum(x)`` returns the terminal momentum m gamma'(0) = grad S_0(x);
-    ``hessian(x)`` applies Richardson-extrapolated central differences to it.
-    Cache reads/inserts are plain dict operations (atomic under the GIL), so
-    concurrent readers are safe.
+    ``hessian(x)`` differentiates it exactly in x.
     """
 
-    def __init__(self, model: OscillatorModel, grid: GridSpec | None = None,
-                 tol: float = 1e-10, refine: bool = False):
+    def __init__(self, model: OscillatorModel, grid: GridSpec | None = None):
         self.model = model
         self.grid = grid or GridSpec(nodes=200)
-        self.tol = tol
-        self.refine = refine
-        self._cache: dict = {}
         self.dim = model.dim
+        self._ev = _ModelEval(model)
 
-    def momentum(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        key = tuple(np.round(x, 12))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _minimize(self, x) -> VariationalResult:
         try:
-            result = minimize_action(self.model, x, self.grid, self.tol,
-                                     refine=self.refine)
+            return minimize_action(self.model, x, self.grid, refine=False)
         except (NoConvergence, HypothesisViolation) as exc:
             raise GradientProviderFailure(
-                f"gradient sample failed at {x.tolist()}: {exc}") from exc
-        self._cache[key] = result.momentum
-        return result.momentum
+                f"gradient sample failed at {np.ravel(x).tolist()}: {exc}") from exc
+
+    def momentum(self, x) -> np.ndarray:
+        return self._minimize(x).momentum
 
     # semi-flow integrators expect a gradient callable
     gradient = momentum
 
-    def hessian(self, x, step: float = 1e-4) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            coarse = (self.momentum(x + step * e)
-                      - self.momentum(x - step * e)) / (2.0 * step)
-            h2 = step / 2.0
-            fine = (self.momentum(x + h2 * e)
-                    - self.momentum(x - h2 * e)) / (2.0 * h2)
-            out[:, i] = (4.0 * fine - coarse) / 3.0
+    def hessian(self, x) -> np.ndarray:
+        """Hess S_0(x) as the x-derivative of the discrete momentum.
+
+        At the minimizer the interior gradient g(P, x) vanishes, and only
+        node N-1 couples to the endpoint x, with dg/dx = -(m/dt_{N-1}) I.
+        So dP/dx = H^-1 (m/dt_{N-1}) E_{N-1}, with H the banded Newton
+        matrix, and the momentum stencil differentiates node by node
+        (dP_N/dx = I, dP_0/dx = 0).
+        """
+        result = self._minimize(x)
+        times, pts = result.curve.times, result.curve.points
+        n, mass = self.dim, self._ev.mass
+        rhs = np.zeros(((len(times) - 2) * n, n))
+        rhs[-n:] = mass / (times[-1] - times[-2]) * np.eye(n)
+        jac = np.zeros((len(times), n, n))  # jac[i] = dP_i / dx
+        jac[1:-1] = solveh_banded(_newton_step_matrix(self._ev, times, pts), rhs,
+                                  check_finite=False).reshape(-1, n, n)
+        jac[-1] = np.eye(n)
+        # the 5-point momentum stencil of minimize_action
+        weights = _stencil_weights(times[-5:], times[-1])
+        out = mass * np.einsum("i,ijk->jk", weights, jac[-5:])
         return 0.5 * (out + out.T)
 
 
@@ -528,44 +533,28 @@ def decay_bound_satisfied(traj: FlowTrajectory, omega_min: float,
 # -- numerical first transport integral ----------------------------------------
 
 def numeric_s1(model: OscillatorModel, x, provider: MomentumProvider | None = None,
-               grid: GridSpec | None = None, samples: int = 80,
-               cutoff: float = 1e-12) -> float:
+               grid: GridSpec | None = None) -> float:
     """S_1(x) from the transport integral along the minimizing curve.
 
     The half-line integral is compactified with tau = exp(omega_min t),
     dt = d tau / (omega_min tau); the transformed integrand extends by 0 to
     tau = 0 because trace Hess S_0 - m sum omega_j vanishes quadratically at
     the origin.  The curve nodes are uniform in tau, so a strided subsample
-    feeds a composite Simpson rule directly.
+    of about 80 intervals feeds a composite Simpson rule directly.
     """
-    from scipy.integrate import simpson
-
     ev = _ModelEval(model)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
     provider = provider or MomentumProvider(model, grid=GridSpec(nodes=400))
-    grid = grid or GridSpec()
-    result = minimize_action(model, x, grid, refine=False)
+    result = minimize_action(model, x, grid or GridSpec(), refine=False)
     times = result.curve.times
-    pts = result.curve.points
     n_nodes = len(times) - 1
-    stride = max(1, n_nodes // samples)
-    idx = list(range(0, n_nodes + 1, stride))
-    if idx[-1] != n_nodes:
-        idx.append(n_nodes)
-    if len(idx) % 2 == 0:  # Simpson wants an odd node count
-        idx.insert(-1, n_nodes - stride // 2 if stride > 1 else n_nodes - 1)
-        idx = sorted(set(idx))
-        if len(idx) % 2 == 0:
-            idx = idx[:-2] + [idx[-1]]
-    half_trace_ref = 0.5 * ev.omega.sum()
+    idx = np.r_[0:n_nodes:max(1, n_nodes // 80), n_nodes]
     tau = np.exp(ev.omega_min * times[idx])
-    values = np.zeros(len(idx))
-    for j, i in enumerate(idx):
-        if i == 0:  # pinned origin: integrand limit is exactly 0
-            continue
-        f = np.trace(provider.hessian(pts[i])) / (2.0 * ev.mass) - half_trace_ref
-        if abs(f) >= cutoff:
-            values[j] = f / (ev.omega_min * tau[j])
+    values = np.zeros(len(idx))  # at the pinned origin the limit is exactly 0
+    for j in range(1, len(idx)):
+        hess = provider.hessian(result.curve.points[idx[j]])
+        f = np.trace(hess) / (2.0 * ev.mass) - 0.5 * ev.omega.sum()
+        values[j] = f / (ev.omega_min * tau[j])
     return float(simpson(values, x=tau))

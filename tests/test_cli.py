@@ -209,6 +209,27 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err.strip())["error"] == "ModelFormatError"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ("--point", "0.5", "--horizon", "800"),
+        ("--point", "1e200"),
+    ], ids=" ".join)
+    def test_infinite_action_is_2_with_json(self, capsys, argv):
+        code, out, err = run_cli(capsys, "variational",
+                                 "--model", "builtin:quartic", *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "NoConvergence"
+
+    def test_resum_negative_mu_pole_is_2_with_json(self, capsys):
+        code, out, err = run_cli(capsys, "resum", "--series",
+                                 "builtin:quartic-ground", "--mu", "-0.5")
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["error"] == "PoleOnRay"
+        assert all(t > 0 for t in payload["payload"]["poles"])
+
     def test_kappa_required_subcommand_is_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compare",
                                "--model", degenerate_model_file(tmp_path))

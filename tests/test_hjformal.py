@@ -7,6 +7,7 @@ import pytest
 
 from anharmonic.errors import BadTruncation, ResonantDivisor, TruncationTooSmall
 from anharmonic.hjformal import (
+    FormalAction,
     hj_residual,
     solve_hj_formal,
     sternberg_linearize,
@@ -63,6 +64,16 @@ class TestSolve:
     def test_residual_zero_quartic(self):
         action = solve_hj_formal(quartic("1/10"), 10)
         assert hj_residual(action).is_zero()
+
+    def test_residual_checks_top_slice(self):
+        """Adding x^8 to S0 at truncation 8 changes only the top slice of
+        the residual, by (1/m) grad q . grad x^8 = 8 x^8."""
+        action = solve_hj_formal(quartic("1/2"), 8)
+        assert hj_residual(action).trunc == 8
+        bad = FormalAction(action.model,
+                           action.S0 + PolySeries(1, 8, {(8,): Fraction(1)}))
+        residual = hj_residual(bad)
+        assert dict(residual.items()) == {(8,): Fraction(8)}
 
     def test_too_small_truncation(self):
         with pytest.raises(BadTruncation):

@@ -56,6 +56,19 @@ class TestBorelPade:
             borel_pade(series, 0.2, 5, 5)
         assert err.value.payload["poles"][0] > 0
 
+    def test_pole_on_negative_ray_is_mirrored(self):
+        """For mu < 0 the ray s = mu t runs along the negative axis: the pole
+        s = -1 of 1/(1 + s) lies on it, the pole s = 1 of 1/(1 - s) does
+        not, and sum k! mu^k at mu = -0.2 is the Stieltjes sum at 0.2."""
+        factorial = [Fraction(math.factorial(k)) for k in range(13)]
+        stieltjes = [(-1) ** k * c for k, c in enumerate(factorial)]
+        with pytest.raises(PoleOnRay) as err:
+            borel_pade(stieltjes, -0.2, 6, 6)
+        assert err.value.payload["poles"][0] == pytest.approx(5.0, rel=1e-9)
+        assert borel_pade(factorial, -0.2, 6, 6) == pytest.approx(
+            borel_pade(stieltjes, 0.2, 6, 6), abs=1e-12)
+        assert borel_pade(factorial, 0.0, 6, 6) == pytest.approx(1.0, abs=1e-12)
+
     def test_pade_reproduces_rational_function(self):
         num, den = pade_coefficients(
             [Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)], 1, 1)

@@ -22,6 +22,7 @@ from anharmonic.hjformal import (
 from anharmonic.model import OscillatorModel, kappa_model
 from anharmonic.series import PolySeries, dot_gradients
 from anharmonic.transport import (
+    GroundExpansion,
     energy_series,
     excited_expansion,
     gap_series,
@@ -53,6 +54,21 @@ class TestGround:
         ground = expand(kappa_model(2, g="1/10"), 5)
         for k in range(1, 6):
             assert transport_residual(ground, k).is_zero()
+
+    def test_residual_checks_top_slice(self):
+        """Changing the top monomial of S_1 changes the top slice of the
+        first residual, by -(1/m) grad q . grad x^6 = -6 x^6."""
+        ground = expand(kappa_model(2, g="1/2"), 3, trunc=8)
+        S1 = ground.corrections[1]
+        assert S1.trunc == 6
+        assert transport_residual(ground, 1).trunc == 6
+        bad = GroundExpansion(ground.model, ground.order,
+                              [ground.corrections[0],
+                               S1 + PolySeries(1, 6, {(6,): Fraction(1)}),
+                               *ground.corrections[2:]],
+                              ground.energies)
+        residual = transport_residual(bad, 1)
+        assert dict(residual.items()) == {(6,): Fraction(-6)}
 
     def test_residual_index_range(self):
         ground = expand(kappa_model(2), 2)

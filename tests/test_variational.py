@@ -44,6 +44,29 @@ def coupled_2d(trunc=8):
     return OscillatorModel(1, [Fraction(1), Fraction(1)], A)
 
 
+def coupled_unequal_2d():
+    """Unequal frequencies (1, 3/2) with cubic and quartic couplings."""
+    A = PolySeries(2, 8, {(2, 2): Fraction(1, 4), (3, 1): Fraction(1, 10),
+                          (4, 0): Fraction(1, 8)})
+    return OscillatorModel(2, [Fraction(1), Fraction(3, 2)], A)
+
+
+def fd_hessian(provider, x, step=1e-4):
+    """Reference Hessian of S_0: Richardson-extrapolated central differences
+    of the momentum, 4 dim minimizations."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((x.size, x.size))
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = 1.0
+        coarse = (provider.momentum(x + step * e)
+                  - provider.momentum(x - step * e)) / (2.0 * step)
+        fine = (provider.momentum(x + 0.5 * step * e)
+                - provider.momentum(x - 0.5 * step * e)) / step
+        out[:, i] = (4.0 * fine - coarse) / 3.0
+    return 0.5 * (out + out.T)
+
+
 def band_to_dense(band):
     """Symmetric matrix from the upper banded storage of solveh_banded."""
     u = band.shape[0] - 1
@@ -99,10 +122,7 @@ class TestMinimizer:
     def test_banded_hessian_matches_gradient_differences(self):
         """The band is the Jacobian of the interior gradient, and the banded
         Cholesky step equals a dense solve."""
-        A = PolySeries(2, 8, {(2, 2): Fraction(1, 4), (3, 1): Fraction(1, 10),
-                              (4, 0): Fraction(1, 8)})
-        model = OscillatorModel(2, [Fraction(1), Fraction(3, 2)], A)
-        ev = _ModelEval(model)
+        ev = _ModelEval(coupled_unequal_2d())
         times = graded_times(ev.omega_min, 20.0, 12)
         pts = initial_guess(ev, times, np.array([0.6, -0.4]))
         pts[0] = 0.0
@@ -140,6 +160,21 @@ class TestMinimizer:
         with pytest.raises(NoConvergence):
             minimize_action(quartic(), [0.5], GridSpec(nodes=50))
         assert grids == [51, 101]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model, x, grid", [
+        (quartic(), [1e200], None),
+        (coupled_2d(), [1e-300, 1e200], None),
+        # exp(-omega_min T) underflows, so the first graded time is -inf
+        (quartic(), [0.5], GridSpec(horizon=800.0)),
+    ], ids=["1d", "2d", "horizon"])
+    def test_infinite_action_raises(self, model, x, grid):
+        """An infinite action passes any relative stopping test, so it must
+        be rejected before it."""
+        with pytest.raises(NoConvergence):
+            minimize_action(model, x, grid)
+        with pytest.raises(GradientProviderFailure):
+            MomentumProvider(model, grid).momentum(x)
 
     def test_harmonic_2d_exact_action(self):
         model = OscillatorModel(1, [Fraction(1), Fraction(2)],
@@ -221,6 +256,39 @@ class TestHypotheses:
             minimize_action(model, [1.6], GridSpec(nodes=120), refine=False)
 
 
+class TestHessian:
+    @pytest.mark.parametrize("model, x", [
+        (quartic(), [0.9]),
+        (quartic(), [1.6]),
+        (coupled_unequal_2d(), [0.5, -0.3]),
+        (coupled_unequal_2d(), [-0.2, 0.7]),
+    ], ids=["quartic-0.9", "quartic-1.6", "coupled-a", "coupled-b"])
+    def test_matches_finite_differences(self, model, x):
+        provider = MomentumProvider(model, GridSpec(nodes=200))
+        hess = provider.hessian(x)
+        ref = fd_hessian(provider, x)
+        assert np.abs(hess - ref).max() <= 1e-7 * np.abs(ref).max()
+
+    def test_symmetric(self):
+        hess = MomentumProvider(coupled_unequal_2d()).hessian([0.5, -0.3])
+        assert hess.shape == (2, 2)
+        assert np.array_equal(hess, hess.T)
+        assert hess[0, 1] != 0.0
+
+    def test_harmonic_is_mass_times_omega(self):
+        model = OscillatorModel(2, [Fraction(1), Fraction(3, 2)],
+                                PolySeries.zero(2, 6))
+        hess = MomentumProvider(model, GridSpec(nodes=400)).hessian([0.7, -0.4])
+        expect = np.diag([2.0, 3.0])
+        assert np.abs(hess - expect).max() <= 1e-4 * 3.0
+
+    def test_failure_is_provider_failure(self):
+        provider = MomentumProvider(kappa_model(2, g=Fraction(-1, 4)),
+                                    GridSpec(nodes=120))
+        with pytest.raises(GradientProviderFailure):
+            provider.hessian([1.6])
+
+
 class TestSemiFlow:
     def test_harmonic_flow_is_exponential(self):
         model = OscillatorModel(1, [Fraction(1)], PolySeries.zero(1, 6))
@@ -260,7 +328,7 @@ class TestNumericS1:
     def test_harmonic_vanishes(self):
         model = OscillatorModel(1, [Fraction(1)], PolySeries.zero(1, 6))
         provider = MomentumProvider(model, GridSpec(nodes=200))
-        # zero up to the finite-difference noise of the sampled Hessian
+        # zero up to the O(h^2) discretization error of the 200-node curves
         assert abs(numeric_s1(model, [0.7], provider,
                               GridSpec(nodes=200))) < 1e-3
 
@@ -268,6 +336,20 @@ class TestNumericS1:
         cf = Kappa1DModel(mass=1.0, omega0=1.0, g=0.5, kappa=2)
         value = numeric_s1(quartic(), [1.0])
         assert value == pytest.approx(s1_closed(cf, 1.0), abs=1e-4)
+
+    def test_one_minimization_per_sample(self, monkeypatch):
+        """The curve itself plus one per Hessian at the 80 samples past the
+        origin on the default grid."""
+        calls = []
+        real = variational.minimize_action
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "minimize_action", counted)
+        numeric_s1(quartic(), [0.9])
+        assert len(calls) == 81
 
 
 class TestGrid:
