@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -315,6 +316,7 @@ def _cmd_check_model(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser unchanged, so build it once
 def build_parser() -> _Parser:
     parser = _Parser(prog="anharmonic",
                      description="Semiclassical expansions for nonlinear "

@@ -198,14 +198,16 @@ class ResummationResult:
         }
 
 
+_TABLE_ORDERS = ((4, 4), (5, 5), (6, 6))  # the Pade table beside [p/q]
+
+
 def resum_series(series, mu: float, p: int, q: int,
                  kappa: int | None = None, n: int | None = None,
-                 basis_size: int = 200,
-                 table_orders=((4, 4), (5, 5), (6, 6))) -> ResummationResult:
+                 basis_size: int = 200) -> ResummationResult:
     """Full resummation diagnostic: value, adjacent-order table, reference."""
     value = borel_pade(series, mu, p, q)
     table = {}
-    for tp, tq in table_orders:
+    for tp, tq in _TABLE_ORDERS:
         if tp + tq + 1 <= len(series):
             try:
                 table[f"[{tp}/{tq}]"] = borel_pade(series, mu, tp, tq)

@@ -11,6 +11,10 @@ quadrature.  The discrete problem is smooth and (for convex V) strictly
 convex, so a damped Newton iteration converges to machine precision
 deterministically.  Its exact Hessian is block-tridiagonal with bandwidth
 dim, and each step is one banded Cholesky solve (``solveh_banded``).
+V, grad V and Hess V come together from one jet: the monomials of the
+exact series of V and of its first and second derivatives are evaluated
+once per point set (powers by repeated multiplication) and combined by
+one matrix product.
 
 Accuracy: the trapezoidal/piecewise-linear error is O(h^2) in the node
 spacing, so by default the solver re-minimizes on a doubled grid and
@@ -44,68 +48,51 @@ from .errors import (
 from .model import OscillatorModel
 
 
-# -- vectorized polynomial evaluation ---------------------------------------
-
-class _PolyEval:
-    """Dense-exponent representation of a polynomial for numpy evaluation."""
-
-    def __init__(self, series, dim: int):
-        terms = list(series.items())
-        self.dim = dim
-        if terms:
-            self.exps = np.array([k for k, _ in terms], dtype=np.int64)
-            self.coeffs = np.array([float(c) for _, c in terms])
-        else:
-            self.exps = np.zeros((0, dim), dtype=np.int64)
-            self.coeffs = np.zeros(0)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """points: (M, dim) -> values (M,)."""
-        if self.coeffs.size == 0:
-            return np.zeros(points.shape[0])
-        powers = points[:, None, :] ** self.exps[None, :, :]
-        return powers.prod(axis=2) @ self.coeffs
-
+# -- the jet of V ------------------------------------------------------------
 
 class _ModelEval:
-    """V, grad V and Hessian of V as vectorized double-precision callables."""
+    """V, grad V and Hess V in double precision, from one table of monomials.
+
+    The exact series of V (quadratic part included), of each d_i V and of
+    each d_i d_j V share one exponent table (T, dim); their coefficients
+    are the columns of one (T, 1 + dim + dim^2) matrix.
+    """
 
     def __init__(self, model: OscillatorModel):
-        self.model = model
-        self.dim = model.dim
+        self.dim = n = model.dim
         self.mass = float(model.mass)
         self.omega = np.array([float(w) for w in model.omega])
-        self.omega_min = float(min(model.omega))
-        A = model.anharmonic
-        self._a = _PolyEval(A, self.dim)
-        self._da = [_PolyEval(A.partial_derivative(i), self.dim)
-                    for i in range(self.dim)]
-        self._dda = [[_PolyEval(A.partial_derivative(i).partial_derivative(j),
-                                self.dim)
-                      for j in range(self.dim)] for i in range(self.dim)]
+        self.omega_min = float(model.omega_min)
+        V = model.potential_series(max(2, model.anharmonic.trunc))
+        grad = V.gradient()
+        parts = [V, *grad,
+                 *(g.partial_derivative(j) for g in grad for j in range(n))]
+        exps = sorted({k for p in parts for k, _ in p.items()})
+        row = {k: t for t, k in enumerate(exps)}
+        self._coeffs = np.zeros((len(exps), len(parts)))
+        for col, p in enumerate(parts):
+            for k, c in p.items():
+                self._coeffs[row[k], col] = float(c)
+        self._exps = np.array(exps, dtype=np.intp).reshape(len(exps), n)
+        self._top = int(self._exps.max())  # at least 2: V holds the x_i^2
 
-    def anharmonic(self, pts: np.ndarray) -> np.ndarray:
-        return self._a(pts)
+    def jet(self, pts: np.ndarray):
+        """(V, grad V, Hess V) at the rows of pts (M, dim): shapes (M,),
+        (M, dim) and (M, dim, dim)."""
+        m, n = pts.shape
+        ladder = np.empty((self._top + 1, m, n))  # ladder[e] = pts**e
+        ladder[0] = 1.0
+        ladder[1] = pts
+        for e in range(2, self._top + 1):
+            np.multiply(ladder[e - 1], pts, out=ladder[e])
+        mono = ladder[self._exps[:, 0], :, 0]
+        for i in range(1, n):
+            mono *= ladder[self._exps[:, i], :, i]
+        out = mono.T @ self._coeffs
+        return out[:, 0], out[:, 1:n + 1], out[:, n + 1:].reshape(m, n, n)
 
     def potential(self, pts: np.ndarray) -> np.ndarray:
-        quad = 0.5 * self.mass * (pts ** 2 * self.omega[None, :] ** 2).sum(axis=1)
-        return quad + self._a(pts)
-
-    def potential_gradient(self, pts: np.ndarray) -> np.ndarray:
-        grad = self.mass * self.omega[None, :] ** 2 * pts
-        for i in range(self.dim):
-            grad[:, i] += self._da[i](pts)
-        return grad
-
-    def potential_hessian(self, pts: np.ndarray) -> np.ndarray:
-        """(M, dim, dim) Hessian of V at each point."""
-        m = pts.shape[0]
-        hess = np.zeros((m, self.dim, self.dim))
-        for i in range(self.dim):
-            hess[:, i, i] = self.mass * self.omega[i] ** 2
-            for j in range(self.dim):
-                hess[:, i, j] += self._dda[i][j](pts)
-        return hess
+        return self.jet(pts)[0]
 
 
 # -- grids -------------------------------------------------------------------
@@ -131,6 +118,10 @@ class GridSpec:
 def graded_times(omega_min: float, horizon: float, nodes: int) -> np.ndarray:
     """nodes+1 times from -horizon to 0, uniform in tau = exp(omega_min t)."""
     tau0 = math.exp(-omega_min * horizon)
+    if tau0 == 0.0:
+        raise ModelFormatError(
+            f"grid horizon {horizon} is too long: exp(-omega_min * horizon) "
+            f"underflows to 0 (omega_min * horizon must stay below about 745)")
     tau = np.linspace(tau0, 1.0, nodes + 1)
     return np.log(tau) / omega_min
 
@@ -189,25 +180,26 @@ class HypothesisReport:
         }
 
 
-def check_hypotheses(model: OscillatorModel, sample_box=None,
-                     lambda_candidates=None, grid_points: int = 15) -> HypothesisReport:
+_LAMBDA_FRACTION = 0.99  # coercivity is tested with lambda_i = 0.99 omega_i
+_HYPOTHESIS_GRID = 15  # sample points per axis of the box
+
+
+def check_hypotheses(model: OscillatorModel, sample_box=None) -> HypothesisReport:
     """Sampled coercivity (A >= -(1/2) m sum lambda_i^2 x_i^2 with
     lambda_i < omega_i) and convexity (Hessian of V positive semidefinite)
     checks.  Report only: sampling is evidence, not proof."""
     ev = _ModelEval(model)
-    n = model.dim
     if sample_box is None:
-        sample_box = [(-2.0, 2.0)] * n
-    if lambda_candidates is None:
-        lambda_candidates = [0.99 * float(w) for w in model.omega]
-    lambdas = np.array([float(v) for v in lambda_candidates])
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in sample_box]
+        sample_box = [(-2.0, 2.0)] * model.dim
+    lambdas = _LAMBDA_FRACTION * ev.omega
+    axes = [np.linspace(lo, hi, _HYPOTHESIS_GRID) for lo, hi in sample_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    bound = -0.5 * ev.mass * (lambdas[None, :] ** 2 * pts ** 2).sum(axis=1)
-    margin = ev.anharmonic(pts) - bound
+    v, _, hess = ev.jet(pts)
+    # A + (1/2) m sum lambda_i^2 x_i^2, read off V
+    margin = v - 0.5 * ev.mass * ((ev.omega ** 2 - lambdas ** 2)
+                                  * pts ** 2).sum(axis=1)
     worst = int(np.argmin(margin))
-    hess = ev.potential_hessian(pts)
     eigs = np.linalg.eigvalsh(hess)
     min_eig = eigs[:, 0]
     worst_eig = int(np.argmin(min_eig))
@@ -229,9 +221,8 @@ def _action_and_gradient(ev: _ModelEval, times, pts):
     dt = np.diff(times)
     dp = np.diff(pts, axis=0)
     kinetic = 0.5 * ev.mass * ((dp ** 2).sum(axis=1) / dt).sum()
-    v = ev.potential(pts)
+    v, grad_v, _ = ev.jet(pts)
     potential = (0.5 * dt * (v[:-1] + v[1:])).sum()
-    grad_v = ev.potential_gradient(pts)
     weights = np.zeros(len(times))
     weights[:-1] += 0.5 * dt
     weights[1:] += 0.5 * dt
@@ -253,7 +244,7 @@ def _newton_step_matrix(ev: _ModelEval, times, pts):
     dt = np.diff(times)
     inner = pts.shape[0] - 2
     weights = 0.5 * (dt[:-1] + dt[1:])
-    blocks = ev.potential_hessian(pts[1:-1]) * weights[:, None, None]
+    blocks = ev.jet(pts[1:-1])[2] * weights[:, None, None]
     blocks += (ev.mass * (1.0 / dt[:-1] + 1.0 / dt[1:]))[:, None, None] * np.eye(n)
     band = np.zeros((n + 1, inner * n))
     for u in range(n):
@@ -318,12 +309,15 @@ def _stencil_weights(ts: np.ndarray, t0) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
-def _node_velocities(times: np.ndarray, pts: np.ndarray, width: int = 5) -> np.ndarray:
+_STENCIL = 5  # nodes per velocity stencil
+
+
+def _node_velocities(times: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Velocity estimates at every node from local polynomial stencils,
     clipped to lie inside the grid at both ends."""
     n_nodes = len(times)
-    lo = np.clip(np.arange(n_nodes) - width // 2, 0, n_nodes - width)
-    window = lo[:, None] + np.arange(width)
+    lo = np.clip(np.arange(n_nodes) - _STENCIL // 2, 0, n_nodes - _STENCIL)
+    window = lo[:, None] + np.arange(_STENCIL)
     weights = _stencil_weights(times[window], times)
     return np.einsum("ij,ijk->ik", weights, pts[window])
 
@@ -372,19 +366,17 @@ def minimize_action(model: OscillatorModel, x, grid: GridSpec | None = None,
         pts = (4.0 * fine_pts[::2] - pts) / 3.0
         pts[0] = 0.0
         pts[-1] = x
-    width = 5
-    vel = _node_velocities(times, pts, width)
-    momentum = ev.mass * (_stencil_weights(times[-width:], times[-1])
-                          @ pts[-width:])
+    vel = _node_velocities(times, pts)
+    momentum = ev.mass * (_stencil_weights(times[-_STENCIL:], times[-1])
+                          @ pts[-_STENCIL:])
     # the first graded interval spans most of the horizon (the curve is
     # pinned at the origin there, standing in for t -> -inf), so velocity
     # stencils that straddle node 0 are meaningless; skip those nodes
-    skip = width // 2 + 1
-    energy = (0.5 * ev.mass * (vel[skip:] ** 2).sum(axis=1)
-              - ev.potential(pts[skip:]))
+    skip = _STENCIL // 2 + 1
+    v = ev.potential(pts[skip:])  # the last node is x
+    energy = 0.5 * ev.mass * (vel[skip:] ** 2).sum(axis=1) - v
     drift = float(np.abs(energy).max())
-    hj = abs(float((momentum ** 2).sum()) / (2.0 * ev.mass)
-             - float(ev.potential(x[None, :])[0]))
+    hj = abs(float((momentum ** 2).sum()) / (2.0 * ev.mass) - float(v[-1]))
     return VariationalResult(
         curve=CurveGrid(times=times, points=pts),
         action=float(action), momentum=momentum,
@@ -438,9 +430,9 @@ class MomentumProvider:
         jac[1:-1] = solveh_banded(_newton_step_matrix(self._ev, times, pts), rhs,
                                   check_finite=False).reshape(-1, n, n)
         jac[-1] = np.eye(n)
-        # the 5-point momentum stencil of minimize_action
-        weights = _stencil_weights(times[-5:], times[-1])
-        out = mass * np.einsum("i,ijk->jk", weights, jac[-5:])
+        # the momentum stencil of minimize_action
+        weights = _stencil_weights(times[-_STENCIL:], times[-1])
+        out = mass * np.einsum("i,ijk->jk", weights, jac[-_STENCIL:])
         return 0.5 * (out + out.T)
 
 
@@ -462,8 +454,10 @@ class FlowTrajectory:
         }
 
 
+_FLOW_RTOL, _FLOW_ATOL = 1e-8, 1e-10
+
+
 def semi_flow(model: OscillatorModel, x, provider, t_span: float | None = None,
-              rtol: float = 1e-8, atol: float = 1e-10,
               compare_curve: CurveGrid | None = None,
               forward: bool = False, escape_radius: float = 1e3) -> FlowTrajectory:
     """Integrate m gamma' = grad S_0(gamma) from gamma(0) = x.
@@ -473,13 +467,13 @@ def semi_flow(model: OscillatorModel, x, provider, t_span: float | None = None,
     infinity in finite time; this is detected via ``escape_radius`` and
     reported in ``escape_time`` rather than treated as an error.
     """
-    ev = _ModelEval(model)
+    mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    horizon = t_span if t_span is not None else 10.0 / ev.omega_min
+    horizon = t_span if t_span is not None else 10.0 / float(model.omega_min)
 
     def rhs(_t, y):
         try:
-            return np.asarray(provider.gradient(y), dtype=float) / ev.mass
+            return np.asarray(provider.gradient(y), dtype=float) / mass
         except GradientProviderFailure:
             raise
         except Exception as exc:
@@ -495,7 +489,8 @@ def semi_flow(model: OscillatorModel, x, provider, t_span: float | None = None,
         events = escaped
     span = (0.0, horizon) if forward else (0.0, -horizon)
     sol = solve_ivp(rhs, span, x, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
+                    rtol=_FLOW_RTOL, atol=_FLOW_ATOL, dense_output=True,
+                    events=events)
     escape_time = None
     if forward and sol.t_events and len(sol.t_events[0]):
         escape_time = float(sol.t_events[0][0])
@@ -511,7 +506,7 @@ def semi_flow(model: OscillatorModel, x, provider, t_span: float | None = None,
         # (it stands in for the infinite tail), so compare beyond it
         mask = times >= compare_curve.times[1]
         dev = 0.0
-        for i in range(ev.dim):
+        for i in range(model.dim):
             interp = np.interp(times[mask], compare_curve.times,
                                compare_curve.points[:, i])
             dev = max(dev, float(np.abs(interp - points[mask][:, i]).max()))
@@ -542,7 +537,7 @@ def numeric_s1(model: OscillatorModel, x, provider: MomentumProvider | None = No
     the origin.  The curve nodes are uniform in tau, so a strided subsample
     of about 80 intervals feeds a composite Simpson rule directly.
     """
-    ev = _ModelEval(model)
+    mass, omega_min = float(model.mass), float(model.omega_min)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
@@ -551,10 +546,10 @@ def numeric_s1(model: OscillatorModel, x, provider: MomentumProvider | None = No
     times = result.curve.times
     n_nodes = len(times) - 1
     idx = np.r_[0:n_nodes:max(1, n_nodes // 80), n_nodes]
-    tau = np.exp(ev.omega_min * times[idx])
+    tau = np.exp(omega_min * times[idx])
     values = np.zeros(len(idx))  # at the pinned origin the limit is exactly 0
     for j in range(1, len(idx)):
         hess = provider.hessian(result.curve.points[idx[j]])
-        f = np.trace(hess) / (2.0 * ev.mass) - 0.5 * ev.omega.sum()
-        values[j] = f / (ev.omega_min * tau[j])
+        f = np.trace(hess) / (2.0 * mass) - 0.5 * float(sum(model.omega))
+        values[j] = f / (omega_min * tau[j])
     return float(simpson(values, x=tau))

@@ -49,6 +49,7 @@ from anharmonic.variational import (
     numeric_s1,
     semi_flow,
 )
+from strategies import random_models
 
 
 def ground_series(kappa: int, order: int) -> list[Fraction]:
@@ -168,29 +169,8 @@ def test_harmonic_expansion_terminates_with_hermite_polynomials():
                 k: c for k, c in total.items() if c != 0}
 
 
-_dims = st.shared(st.integers(min_value=1, max_value=3), key="adim")
-
-
-@st.composite
-def _random_models(draw):
-    dim = draw(_dims)
-    omega = [Fraction(draw(st.integers(min_value=1, max_value=4)),
-                      draw(st.integers(min_value=1, max_value=3)))
-             for _ in range(dim)]
-    terms = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        k = tuple(draw(st.integers(min_value=0, max_value=4))
-                  for _ in range(dim))
-        if not (3 <= sum(k) <= 6):
-            continue
-        num = draw(st.integers(min_value=-6, max_value=6))
-        if num:
-            terms[k] = Fraction(num, draw(st.integers(min_value=1, max_value=6)))
-    return OscillatorModel(1, omega, PolySeries(dim, 6, terms))
-
-
 @settings(max_examples=30, deadline=None)
-@given(_random_models(), st.integers(min_value=1, max_value=4))
+@given(random_models(), st.integers(min_value=1, max_value=4))
 def test_residuals_vanish_for_random_rational_models(model, order):
     """Formal HJ and transport residuals are exactly zero series across
     random rational models (dim <= 3, degree <= 6, order <= 4)."""

@@ -201,22 +201,22 @@ class TestExitCodes:
                         ("scan", "--grid", "0.2:0.4:2", "--engine", "variational"),
                         ("flow", "--point", "0.5"))
         for grid in (("--nodes", "0"), ("--nodes", "3"), ("--horizon", "0"),
-                     ("--horizon=-1",), ("--horizon", "nan"), ("--horizon", "inf"))
+                     ("--horizon=-1",), ("--horizon", "nan"), ("--horizon", "inf"),
+                     # exp(-omega_min T) underflows to 0
+                     ("--horizon", "800"))
         if command[0] != "flow" or grid[0] == "--nodes"
     ], ids=" ".join)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_grid_is_2_with_json(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--model", "builtin:quartic")
         assert code == 2
+        assert len(err.strip().splitlines()) == 1
         assert json.loads(err.strip())["error"] == "ModelFormatError"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("argv", [
-        ("--point", "0.5", "--horizon", "800"),
-        ("--point", "1e200"),
-    ], ids=" ".join)
-    def test_infinite_action_is_2_with_json(self, capsys, argv):
+    def test_infinite_action_is_2_with_json(self, capsys):
         code, out, err = run_cli(capsys, "variational",
-                                 "--model", "builtin:quartic", *argv)
+                                 "--model", "builtin:quartic", "--point", "1e200")
         assert code == 2
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "NoConvergence"
@@ -235,3 +235,23 @@ class TestExitCodes:
                                "--model", degenerate_model_file(tmp_path))
         assert code == 2
         assert json.loads(err.strip())["error"] == "UnsupportedKappa"
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    """Consecutive calls in one process share the cached parser and print
+    what fresh parsers print: after a usage error, and with an option given
+    in one call and left out of the next."""
+    from anharmonic import cli
+
+    calls = [("expand-ground",),
+             ("expand-ground", "--model", "builtin:quartic", "--order", "2"),
+             ("expand-ground", "--model", "builtin:quartic", "--order", "2",
+              "--trunc", "8"),
+             ("expand-ground", "--model", "builtin:quartic", "--order", "2")]
+    assert cli.build_parser() is cli.build_parser()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0]
+    assert reused[1] == reused[3] != reused[2]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from anharmonic.errors import (
@@ -31,6 +31,7 @@ from anharmonic.transport import (
     total_energy_series,
     transport_residual,
 )
+from strategies import dims, model_events, random_models
 
 
 def expand(model, order, trunc=None):
@@ -176,31 +177,7 @@ class TestExcited:
 
 # -- property suite: random rational models ----------------------------------
 
-_dims = st.shared(st.integers(min_value=1, max_value=3), key="dim")
-
-
-@st.composite
-def random_models(draw):
-    dim = draw(_dims)
-    omega = [Fraction(draw(st.integers(min_value=1, max_value=4)),
-                      draw(st.integers(min_value=1, max_value=3)))
-             for _ in range(dim)]
-    n_terms = draw(st.integers(min_value=0, max_value=3))
-    terms = {}
-    for _ in range(n_terms):
-        k = tuple(draw(st.integers(min_value=0, max_value=4))
-                  for _ in range(dim))
-        if not (3 <= sum(k) <= 6):
-            continue
-        num = draw(st.integers(min_value=-6, max_value=6))
-        den = draw(st.integers(min_value=1, max_value=6))
-        if num:
-            terms[k] = Fraction(num, den)
-    mass = Fraction(draw(st.integers(min_value=1, max_value=3)))
-    return OscillatorModel(mass, omega, PolySeries(dim, 6, terms))
-
-
-_levels = _dims.flatmap(
+_levels = dims.flatmap(
     lambda dim: st.lists(st.integers(min_value=0, max_value=2),
                          min_size=dim, max_size=dim)
 ).filter(lambda m: 1 <= sum(m) <= 2)
@@ -232,6 +209,8 @@ def excited_residual(ground, excited, k):
 @settings(max_examples=40, deadline=None)
 @given(random_models(), st.integers(min_value=1, max_value=4), _levels)
 def test_random_model_residuals_vanish(model, order, levels):
+    for label in model_events(model):
+        event(label)
     action = solve_hj_formal(model, 2 * order + 2)
     assert hj_residual(action).is_zero()
     ground = ground_expansion(action, order)
@@ -253,3 +232,18 @@ def test_random_model_residuals_vanish(model, order, levels):
         pass
     else:
         assert all(r.is_zero() for r in sternberg_residual(smap, action))
+
+
+def test_random_models_reach_coupled_models():
+    """The model strategy draws multi-term and, in dim >= 2, coupled
+    anharmonicities (checked on a fixed sequence of examples)."""
+    seen = []
+
+    @settings(max_examples=40, derandomize=True, database=None)
+    @given(random_models())
+    def draw(model):
+        seen.append(model)
+
+    draw()
+    assert any(len(list(m.anharmonic.items())) >= 2 for m in seen)
+    assert any("coupled" in model_events(m) for m in seen if m.dim >= 2)

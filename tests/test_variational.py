@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import solveh_banded
 
 from anharmonic import variational
@@ -12,6 +13,7 @@ from anharmonic.closedform import Kappa1DModel, s0_closed, s1_closed
 from anharmonic.errors import (
     GradientProviderFailure,
     HypothesisViolation,
+    ModelFormatError,
     NoConvergence,
 )
 from anharmonic.model import OscillatorModel, kappa_model
@@ -32,6 +34,7 @@ from anharmonic.variational import (
     numeric_s1,
     semi_flow,
 )
+from strategies import points, random_models
 
 
 def quartic(g="1/2"):
@@ -162,19 +165,17 @@ class TestMinimizer:
         assert grids == [51, 101]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("model, x, grid", [
-        (quartic(), [1e200], None),
-        (coupled_2d(), [1e-300, 1e200], None),
-        # exp(-omega_min T) underflows, so the first graded time is -inf
-        (quartic(), [0.5], GridSpec(horizon=800.0)),
-    ], ids=["1d", "2d", "horizon"])
-    def test_infinite_action_raises(self, model, x, grid):
+    @pytest.mark.parametrize("model, x", [
+        (quartic(), [1e200]),
+        (coupled_2d(), [1e-300, 1e200]),
+    ], ids=["1d", "2d"])
+    def test_infinite_action_raises(self, model, x):
         """An infinite action passes any relative stopping test, so it must
         be rejected before it."""
         with pytest.raises(NoConvergence):
-            minimize_action(model, x, grid)
+            minimize_action(model, x)
         with pytest.raises(GradientProviderFailure):
-            MomentumProvider(model, grid).momentum(x)
+            MomentumProvider(model).momentum(x)
 
     def test_harmonic_2d_exact_action(self):
         model = OscillatorModel(1, [Fraction(1), Fraction(2)],
@@ -242,6 +243,22 @@ class TestHypotheses:
         report = check_hypotheses(model)
         assert not report.convexity_ok
         assert not report.coercivity_ok
+
+    @pytest.mark.parametrize("model, box, expect", [
+        (quartic(), None, (0.0, [0.0], 1.0, [0.0])),
+        # V = x^2/2 - x^4: V(-2) = 2 - 16, less (1/2)(1 - 0.99^2) x^2
+        (kappa_model(2, g=Fraction(-1)), None, (-14.0398, [-2.0], -47.0, [-2.0])),
+        # Hess V = [[1 + x2^2/2, x1 x2], [x1 x2, 1 + x1^2/2]] at a corner
+        (coupled_2d(), None, (0.0, [0.0, 0.0], -1.0, [-2.0, -2.0])),
+        (coupled_2d(), [(-0.7, 0.7)] * 2, (0.0, [0.0, 0.0], 0.755, [-0.7, -0.7])),
+    ], ids=["quartic", "negative-quartic", "coupled", "coupled-small"])
+    def test_margins_at_worst_points(self, model, box, expect):
+        margin, margin_at, eig, eig_at = expect
+        report = check_hypotheses(model, sample_box=box)
+        assert report.coercivity_margin == pytest.approx(margin, rel=1e-12)
+        assert report.coercivity_worst_point == pytest.approx(margin_at)
+        assert report.min_hessian_eigenvalue == pytest.approx(eig, rel=1e-12)
+        assert report.convexity_worst_point == pytest.approx(eig_at)
 
     def test_coupled_2d_convex_near_origin_only(self):
         model = coupled_2d()
@@ -373,6 +390,69 @@ class TestGrid:
             scale = max(1.0, float(np.abs(exact[:, k]).max()))
             assert np.abs(vel[:, k] - exact[:, k]).max() <= 1e-9 * scale
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_horizon_fails_up_front(self):
+        """omega_min T above about 745 underflows exp(-omega_min T) to 0."""
+        with pytest.raises(ModelFormatError):
+            graded_times(1.0, 800.0, 10)
+        with pytest.raises(ModelFormatError):
+            minimize_action(quartic(), [0.5], GridSpec(horizon=800.0))
+        assert np.isfinite(graded_times(1.0, 700.0, 10)).all()
+
     def test_smallest_grid_minimizes(self):
         result = minimize_action(quartic(), [0.5], GridSpec(nodes=4))
         assert result.converged and math.isfinite(result.action)
+
+
+def _magnitude(series, x) -> float:
+    """Sum of the magnitudes of the terms of series at x."""
+    return sum(abs(float(c)) * math.prod(abs(v) ** e for v, e in zip(x, k))
+               for k, c in series.items())
+
+
+class TestJet:
+    @staticmethod
+    def exact_parts(model):
+        """V, each d_i V and each d_i d_j V as exact series."""
+        V = model.potential_series(max(2, model.anharmonic.trunc))
+        grad = V.gradient()
+        return V, grad, [[g.partial_derivative(j) for j in range(model.dim)]
+                         for g in grad]
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_models(), points)
+    def test_matches_exact_series(self, model, drawn):
+        """Within 1e-12 of each term-magnitude sum, down to the underflow
+        range, at the origin and at the drawn points and their negatives."""
+        pts = np.array([[0.0] * model.dim, *drawn, *(-np.array(drawn))])
+        v, grad, hess = _ModelEval(model).jet(pts)
+        V, dV, ddV = self.exact_parts(model)
+        for p, x in enumerate(pts.tolist()):
+            pairs = [(v[p], V)] + [(grad[p, i], dV[i]) for i in range(model.dim)]
+            pairs += [(hess[p, i, j], ddV[i][j])
+                      for i in range(model.dim) for j in range(model.dim)]
+            for value, series in pairs:
+                err = abs(value - series.evaluate(x))
+                assert err <= 1e-12 * _magnitude(series, x) + 1e-300
+
+    def test_harmonic_quadratic_part_survives_zero_truncation(self):
+        model = OscillatorModel(2, [Fraction(1), Fraction(3, 2)],
+                                PolySeries.zero(2, 0))
+        pts = np.array([[0.5, -1.0], [0.0, 2.0]])
+        v, grad, hess = _ModelEval(model).jet(pts)
+        m_w2 = np.array([2.0, 4.5])  # m omega_i^2
+        assert v == pytest.approx(0.5 * (m_w2 * pts ** 2).sum(axis=1), rel=1e-15)
+        assert grad == pytest.approx(m_w2 * pts, rel=1e-15)
+        assert np.array_equal(hess, np.broadcast_to(np.diag(m_w2), (2, 2, 2)))
+
+    def test_single_point(self):
+        model = coupled_unequal_2d()
+        x = [0.6, -0.7]
+        v, grad, hess = _ModelEval(model).jet(np.array([x]))
+        assert (v.shape, grad.shape, hess.shape) == ((1,), (1, 2), (1, 2, 2))
+        V, dV, ddV = self.exact_parts(model)
+        assert v[0] == pytest.approx(V.evaluate(x), rel=1e-14)
+        assert grad[0] == pytest.approx([d.evaluate(x) for d in dV], rel=1e-14)
+        assert hess[0] == pytest.approx(
+            np.array([[d.evaluate(x) for d in row] for row in ddV]), rel=1e-14)
+        assert np.array_equal(hess[0], hess[0].T)
