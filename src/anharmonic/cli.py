@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import product
@@ -263,6 +264,8 @@ def _load_series(spec: str) -> list[Fraction]:
 
 
 def _cmd_resum(args) -> int:
+    if not math.isfinite(args.mu):
+        raise ModelFormatError(f"--mu must be finite, got {args.mu}")
     series = _load_series(args.series)
     try:
         p_text, q_text = args.pade.split(",")

@@ -2,14 +2,14 @@
 diagonalization reference.
 
 The Borel transform b_k = c_k / k! is Pade-approximated with an exact
-rational linear solve (so approximant construction adds no floating-point
-noise), then the Laplace integral sum = int_0^inf e^(-t) P(mu t) dt is
-evaluated by adaptive quadrature after checking that no Pade pole sits on
-the positive integration ray.
+fraction-free integer solve (so approximant construction adds no
+floating-point noise), then the Laplace integral sum = int_0^inf e^(-t)
+P(mu t) dt is evaluated by adaptive quadrature after checking that no Pade
+pole sits on the positive integration ray.
 
-The reference eigenvalue diagonalizes H = p^2/2m + (1/2) m w^2 x^2
-+ g x^(2 kappa) in the harmonic oscillator basis (units hbar = m = w = 1,
-g = mu) and demands stability under basis doubling.
+The reference E_n is eigenvalue n of H = p^2/2m + (1/2) m w^2 x^2
++ g x^(2 kappa) (units hbar = m = w = 1, g = mu), a banded matrix in the
+harmonic oscillator basis, and must be stable under basis doubling.
 """
 
 from __future__ import annotations
@@ -20,33 +20,36 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigvals_banded
 
-from .errors import (
-    InsufficientCoefficients,
-    NotConverged,
-    PoleOnRay,
-)
+from .errors import (IndexOutOfRange, InsufficientCoefficients, NotConverged,
+                     PoleOnRay, UnsupportedKappa)
 
 _TAIL_CUTOFF = 45.0  # e^-t < 1e-18 beyond this
 
 
-def _exact_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with partial pivoting over exact rationals."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _exact_solve(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Solve ``rows`` = [A | b] by fraction-free (Bareiss) elimination on
+    integer rows, then back-substitute det * x_i, integral by Cramer's rule."""
+    n = len(rows)
+    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    a = [[v.numerator * (s // v.denominator) for v in row]
+         for row, s in zip(rows, scales)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
             raise InsufficientCoefficients(
                 "singular Pade system; lower the denominator degree")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        a[k], a[pivot] = a[pivot], a[k]
+        for r in range(k + 1, n):
+            a[r][k:] = [(v * a[k][k] - a[r][k] * w) // prev
+                        for v, w in zip(a[r][k:], a[k][k:])]
+        prev = a[k][k]
+    x = [prev * row[n] for row in a]  # becomes det * x_i, where det = prev
+    for i in reversed(range(n)):
+        x[i] = (x[i] - sum(a[i][j] * x[j] for j in range(i + 1, n))) // a[i][i]
+    return [Fraction(v, prev) for v in x]
 
 
 def pade_coefficients(series: list[Fraction], p: int, q: int):
@@ -69,10 +72,10 @@ def pade_coefficients(series: list[Fraction], p: int, q: int):
         if q == 0:
             den = [Fraction(1)]
             break
-        matrix = [[bk(p + i - j) for j in range(1, q + 1)] for i in range(1, q + 1)]
-        rhs = [-bk(p + i) for i in range(1, q + 1)]
+        rows = [[bk(p + i - j) for j in range(1, q + 1)] + [-bk(p + i)]
+                for i in range(1, q + 1)]
         try:
-            d = _exact_solve(matrix, rhs)
+            d = _exact_solve(rows)
         except InsufficientCoefficients:
             p, q = max(p - 1, 0), q - 1
             continue
@@ -122,8 +125,10 @@ def borel_pade(series, mu: float, p: int, q: int) -> float:
         s = mu * t
         return math.exp(-t) * _polyval(num_f, s) / _polyval(den_f, s)
 
-    value, _err = quad(integrand, 0.0, _TAIL_CUTOFF,
-                       epsabs=1e-13, epsrel=1e-12, limit=400)
+    value, err, _info, *failed = quad(integrand, 0.0, _TAIL_CUTOFF, epsabs=1e-13,
+                                      epsrel=1e-12, limit=400, full_output=1)
+    if failed or not math.isfinite(value):
+        raise NotConverged("Laplace integral not converged", error_estimate=err)
     return value
 
 
@@ -143,20 +148,23 @@ def partial_sums(series, mu: float) -> list[float]:
     return out
 
 
-def _spectrum(kappa: int, mu: float, basis_size: int) -> np.ndarray:
-    """Eigenvalues of the truncated oscillator-basis Hamiltonian.
-
-    Matrix elements of x^(2 kappa) between states below ``basis_size`` are
-    computed exactly by taking the 2 kappa-th power of the position matrix on
-    a buffered basis, then restricting.
-    """
-    buffered = basis_size + 2 * kappa
-    x = np.zeros((buffered, buffered))
-    for j in range(buffered - 1):
-        x[j, j + 1] = x[j + 1, j] = math.sqrt((j + 1) / 2.0)
-    xpow = np.linalg.matrix_power(x, 2 * kappa)[:basis_size, :basis_size]
-    h = mu * xpow + np.diag(np.arange(basis_size) + 0.5)
-    return np.linalg.eigvalsh(h)
+def _spectrum(kappa: int, mu: float, basis_size: int, n: int) -> float:
+    """Eigenvalue n of H on the first ``basis_size`` oscillator states. With
+    w = 2 kappa, ``step`` holds <j|x|j + 1> at j + w + 1 and row w + 1 + d of
+    ``band`` holds <i|x^k|i + d> in column i, exact for i < ``basis_size``."""
+    w, size = 2 * kappa, basis_size + 2 * kappa
+    step = np.pad(np.sqrt(np.arange(1, size) / 2.0), (w + 1, w + 2))
+    shifted = step[np.arange(2 * w + 2)[:, None] + np.arange(size)]
+    band = np.zeros((2 * w + 3, size))
+    band[w + 1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(w):
+            band[1:-1] = band[:-2] * shifted[:-1] + band[2:] * shifted[1:]
+        h = mu * band[w + 1:2 * w + 2][:basis_size, :basis_size]  # lower band
+    h[0] += np.arange(basis_size) + 0.5
+    if not np.isfinite(h).all():
+        raise NotConverged(f"x^{w} overflows or mu = {mu} is not finite")
+    return eigvals_banded(h, lower=True, select="i", select_range=(n, n))[0]
 
 
 def reference_energy(kappa: int, n: int, mu: float, basis_size: int = 200) -> float:
@@ -164,9 +172,13 @@ def reference_energy(kappa: int, n: int, mu: float, basis_size: int = 200) -> fl
     if basis_size < 50:
         raise NotConverged(
             f"basis_size must be >= 50, got {basis_size}")
-    coarse = _spectrum(kappa, mu, basis_size)[n]
-    fine = _spectrum(kappa, mu, 2 * basis_size)[n]
-    if abs(fine - coarse) >= 1e-9:
+    if kappa < 1:
+        raise UnsupportedKappa(f"kappa must be >= 1, got {kappa}")
+    if not 0 <= n < basis_size:
+        raise IndexOutOfRange(f"level n = {n} outside [0, {basis_size})")
+    coarse = _spectrum(kappa, mu, basis_size, n)
+    fine = _spectrum(kappa, mu, 2 * basis_size, n)
+    if not abs(fine - coarse) < 1e-9:
         raise NotConverged(
             f"reference eigenvalue moved by {abs(fine - coarse):.3e} under "
             f"basis doubling from {basis_size}",

@@ -230,6 +230,29 @@ class TestExitCodes:
         assert payload["error"] == "PoleOnRay"
         assert all(t > 0 for t in payload["payload"]["poles"])
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--kappa", "-1"), "UnsupportedKappa"),
+        (("--kappa", "0"), "UnsupportedKappa"),
+        (("--kappa", "2", "--n", "500"), "IndexOutOfRange"),
+        (("--kappa", "2", "--n", "-1"), "IndexOutOfRange"),
+        (("--kappa", "120"), "NotConverged"),  # x^240 overflows
+        (("--mu", "inf"), "ModelFormatError"),
+        (("--mu", "nan"), "ModelFormatError"),
+        (("--mu", "inf", "--kappa", "2"), "ModelFormatError"),
+        (("--mu", "nan", "--kappa", "2"), "ModelFormatError"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    @pytest.mark.filterwarnings("error")
+    def test_bad_resum_input_is_2_with_json(self, capsys, tmp_path, argv, error):
+        """With --mu given twice argparse keeps the last one."""
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(["1/2", "3/4", "-21/8", "333/16", "-30885/128"]))
+        code, out, err = run_cli(capsys, "resum", "--series", str(path),
+                                 "--mu", "0.1", "--pade", "2,2", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == error
+
     def test_kappa_required_subcommand_is_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compare",
                                "--model", degenerate_model_file(tmp_path))

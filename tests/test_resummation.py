@@ -1,15 +1,21 @@
 """Borel-Pade resummation against analytic sums and spectral references."""
 
 import math
+import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from anharmonic import resummation
 from anharmonic.errors import (
+    IndexOutOfRange,
     InsufficientCoefficients,
     NotConverged,
     PoleOnRay,
+    UnsupportedKappa,
 )
 from anharmonic.hjformal import solve_hj_formal
 from anharmonic.model import kappa_model
@@ -26,6 +32,80 @@ from anharmonic.transport import energy_series, ground_expansion
 def quartic_series(order):
     action = solve_hj_formal(kappa_model(2), 2 * order + 2)
     return energy_series(ground_expansion(action, order))
+
+
+def dense_hamiltonian(kappa, mu, basis_size):
+    """The dense matrix of the former reference: the 2 kappa-th matrix power
+    of the position matrix on a buffered basis, restricted, plus n + 1/2."""
+    buffered = basis_size + 2 * kappa
+    x = np.zeros((buffered, buffered))
+    for j in range(buffered - 1):
+        x[j, j + 1] = x[j + 1, j] = math.sqrt((j + 1) / 2.0)
+    xpow = np.linalg.matrix_power(x, 2 * kappa)[:basis_size, :basis_size]
+    return mu * xpow + np.diag(np.arange(basis_size) + 0.5)
+
+
+def dense_spectrum(kappa, mu, basis_size):
+    """The former reference algorithm: every eigenvalue by a dense eigvalsh,
+    accurate to a small multiple of ``dense_rounding``."""
+    return np.linalg.eigvalsh(dense_hamiltonian(kappa, mu, basis_size))
+
+
+def dense_rayleigh(kappa, mu, basis_size, levels):
+    """Rayleigh quotients of the dense eigenvectors: their error is about the
+    squared eigenvector residual over the gap, (eps * ||H||)^2, so they pin
+    the eigenvalues of the same matrix far below eigvalsh's rounding."""
+    h = dense_hamiltonian(kappa, mu, basis_size)
+    vectors = np.linalg.eigh(h)[1][:, :levels]
+    return np.einsum("in,in->n", vectors, h @ vectors)
+
+
+def dense_rounding(kappa, mu, basis_size):
+    """eps * ||H||_1: the scale of a dense eigensolver's rounding."""
+    h = dense_hamiltonian(kappa, mu, basis_size)
+    return np.finfo(float).eps * np.abs(h).sum(axis=0).max()
+
+
+def fraction_solve(matrix, rhs):
+    """The former Pade solve: Gauss-Jordan elimination over Fractions with
+    first-nonzero pivoting."""
+    n = len(rhs)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise InsufficientCoefficients(
+                "singular Pade system; lower the denominator degree")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def fraction_pade(monkeypatch, series, p, q):
+    """pade_coefficients, step-down loop included, on the former solve."""
+    with monkeypatch.context() as patch:
+        patch.setattr(resummation, "_exact_solve", lambda rows: fraction_solve(
+            [row[:-1] for row in rows], [row[-1] for row in rows]))
+        return pade_coefficients(series, p, q)
+
+
+def borel_transform(series):
+    return [Fraction(c) / math.factorial(k) for k, c in enumerate(series)]
+
+
+# the [p/q] orders the benchmark resums, then the Pade table's orders
+RESUM_ORDERS = ((9, 11), (10, 9), (10, 10), (10, 12), (11, 9), (11, 11),
+                (11, 12), (12, 10), (12, 11), (13, 10), (4, 4), (5, 5), (6, 6))
+
+
+@pytest.fixture(scope="module")
+def quartic24():
+    return quartic_series(24)
 
 
 class TestBorelPade:
@@ -69,6 +149,23 @@ class TestBorelPade:
             borel_pade(stieltjes, 0.2, 6, 6), abs=1e-12)
         assert borel_pade(factorial, 0.0, 6, 6) == pytest.approx(1.0, abs=1e-12)
 
+    def test_quadrature_failure_raises(self):
+        """B(s) = 1/((1 - s)^2 + eps^2) has poles 1 +- i eps, too far off the
+        real axis to count as on the ray, yet a spike of height 1/eps^2 at
+        t = 1/mu that quad cannot resolve: it reports a missed tolerance,
+        and the sum raises instead of returning about half the integral
+        (pi e^(-1/mu) / (eps mu)) with only a warning."""
+        eps = Fraction(1, 10 ** 7)
+        borel = [Fraction(0), Fraction(0)]
+        for k in range(8):  # (1 + eps^2) b_k - 2 b_(k-1) + b_(k-2) = [k = 0]
+            borel.append((int(k == 0) + 2 * borel[-1] - borel[-2]) / (1 + eps ** 2))
+        series = [b * math.factorial(k) for k, b in enumerate(borel[2:])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged) as err:
+                borel_pade(series, 0.5, 2, 2)
+        assert err.value.payload["error_estimate"] > 0
+
     def test_pade_reproduces_rational_function(self):
         num, den = pade_coefficients(
             [Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)], 1, 1)
@@ -77,6 +174,111 @@ class TestBorelPade:
         top = sum(c * s ** i for i, c in enumerate(num))
         bot = sum(c * s ** i for i, c in enumerate(den))
         assert top / bot == 1 / (1 + s)
+
+
+class TestExactSolve:
+    def test_quartic_orders_match_fraction_solve(self, monkeypatch, quartic24):
+        borel = borel_transform(quartic24)
+        for p, q in RESUM_ORDERS:
+            assert pade_coefficients(borel, p, q) == fraction_pade(
+                monkeypatch, borel, p, q), (p, q)
+
+    @pytest.mark.parametrize("series, p, q, used", [
+        ([1, -1, 1, -1, 1], 2, 2, (1, 1)),         # 1/(1+s)
+        ([1, -1, 1, -1, 1, -1, 1], 3, 3, (1, 1)),  # two steps down
+        ([1, 0, 0, 0, 0], 2, 2, (0, 0)),           # down to q = 0
+    ], ids=["one-step", "two-steps", "to-q0"])
+    def test_step_down_matches_fraction_solve(self, monkeypatch, series, p, q,
+                                              used):
+        series = [Fraction(c) for c in series]
+        num, den = pade_coefficients(series, p, q)
+        assert (num, den) == fraction_pade(monkeypatch, series, p, q)
+        assert (len(num) - 1, len(den) - 1) == used
+
+    def test_singular_system_raises(self):
+        rows = [[Fraction(1, 3), Fraction(2, 5), Fraction(1)],
+                [Fraction(2, 3), Fraction(4, 5), Fraction(3)]]
+        for solve in (resummation._exact_solve, lambda rows: fraction_solve(
+                [row[:-1] for row in rows], [row[-1] for row in rows])):
+            with pytest.raises(InsufficientCoefficients):
+                solve(rows)
+
+    def test_random_systems_match_fraction_solve(self):
+        """Sparse small-integer ratios hit zero pivots, row swaps and
+        singular systems; both solves agree on each."""
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [[Fraction(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 4))
+                     for _ in range(n + 1)] for _ in range(n)]
+            try:
+                expect = fraction_solve([r[:-1] for r in rows],
+                                        [r[-1] for r in rows])
+            except InsufficientCoefficients:
+                with pytest.raises(InsufficientCoefficients):
+                    resummation._exact_solve(rows)
+                outcomes.add("singular")
+                continue
+            assert resummation._exact_solve(rows) == expect
+            outcomes.add("swap" if rows[0][0] == 0 else "solved")
+        assert outcomes == {"singular", "swap", "solved"}
+
+
+class TestBandedReference:
+    @pytest.mark.parametrize("mu", [0.0, 0.05, 0.1, 0.5, 1.0])
+    def test_kappa2_matches_dense(self, mu):
+        """Within 1e-12 of the Rayleigh quotients for n = 0..3, and of the
+        former eigvalsh reference for n = 0. For n >= 1 eigvalsh itself is
+        off by up to 1.1e-11 at mu = 1 (measured against a 40-digit
+        bisection), inside its rounding bound eps * ||H||_1."""
+        dense = dense_spectrum(2, mu, 400)
+        rayleigh = dense_rayleigh(2, mu, 400, 4)
+        rounding = dense_rounding(2, mu, 400)
+        for n in range(4):
+            value = reference_energy(2, n, mu)
+            assert value == pytest.approx(rayleigh[n], abs=1e-12)
+            assert value == pytest.approx(dense[n], abs=1e-12 if n == 0 else rounding)
+
+    @pytest.mark.parametrize("kappa, mu, levels", [
+        (3, 0.05, 4), (3, 0.1, 4), (3, 0.5, 4), (4, 0.01, 2)])
+    def test_higher_kappa_matches_dense(self, kappa, mu, levels):
+        """Cases where the dense path also passes basis doubling (with one
+        BLAS thread; its rounding depends on the thread count). The banded
+        values are within 1e-10 of the Rayleigh quotients (3.5e-11 seen)
+        and within eigvalsh's rounding bound eps * ||H||_1 (5e-9 to 8e-7
+        here) of the former reference."""
+        dense = dense_spectrum(kappa, mu, 400)
+        rayleigh = dense_rayleigh(kappa, mu, 400, levels)
+        rounding = dense_rounding(kappa, mu, 400)
+        for n in range(levels):
+            value = reference_energy(kappa, n, mu)
+            assert value == pytest.approx(rayleigh[n], abs=1e-10)
+            assert value == pytest.approx(dense[n], abs=rounding)
+
+    def test_invalid_inputs_raise(self):
+        with pytest.raises(UnsupportedKappa):
+            reference_energy(0, 0, 0.1)
+        with pytest.raises(UnsupportedKappa):
+            reference_energy(-1, 0, 0.1)
+        for n in (-1, 200, 500):
+            with pytest.raises(IndexOutOfRange):
+                reference_energy(2, n, 0.1)
+
+    @pytest.mark.parametrize("kappa, mu", [(2, math.nan), (2, math.inf), (120, 0.1)])
+    def test_non_finite_hamiltonian_raises(self, kappa, mu):
+        """A non-finite coupling, or x^(2 kappa) past the float range."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged):
+                reference_energy(kappa, 0, mu)
+
+    def test_band_wider_than_basis(self):
+        """2 kappa + 1 diagonals may outnumber the basis states; LAPACK then
+        gets only the diagonals that exist."""
+        assert resummation._spectrum(30, 0.0, 50, 3) == 3.5
+        with pytest.raises(NotConverged):
+            reference_energy(30, 0, 0.1, basis_size=50)
 
 
 class TestQuarticEnergy:
