@@ -273,11 +273,11 @@ def _cmd_resum(args) -> int:
     except ValueError as exc:
         raise ModelFormatError(
             f"bad --pade {args.pade!r}, expected 'p,q'") from exc
-    kappa, n = args.kappa, args.n
+    kappa = args.kappa
     if args.series == "builtin:quartic-ground" and kappa is None:
-        kappa, n = 2, 0
+        kappa = 2
     result = resum_series(series, args.mu, p, q, kappa=kappa,
-                          n=n if kappa is not None else None,
+                          n=args.n if kappa is not None else None,
                           basis_size=args.basis)
     _emit_json(result.to_json(), args.output)
     return 0

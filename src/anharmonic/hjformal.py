@@ -11,8 +11,11 @@ E x^k = (sum_i k_i omega_i) x^k.  The transport equation
 which involves only lower slices of u.  So u is built one homogeneous slice
 at a time, forming just that slice of the product (an online or "relaxed"
 product: van der Hoeven, *Relax, but don't be too lazy*, 2002) and dividing
-each monomial x^k by sum_i k_i omega_i - shift.  The nonlinear equation
-(1/2m)|grad S0|^2 = V has the same shape, with shift 0:
+each monomial x^k by sum_i k_i omega_i - shift.  A slice is integer
+numerators over one denominator, (L, [(k, n), ...]) as in PolySeries.graded,
+one list per axis for a gradient; each source sums in integers over an lcm
+denominator and becomes Fractions once, before the division.  The
+nonlinear equation (1/2m)|grad S0|^2 = V has the same shape, with shift 0:
 
     E s_d = V_d - (1/2m) sum_{i+j=d+2; i,j>=3} grad s_i . grad s_j.
 
@@ -30,7 +33,8 @@ from operator import add
 from .errors import (BadTruncation, DegenerateEigenvalue, ResonantDivisor,
                      TruncationTooSmall)
 from .model import OscillatorModel
-from .series import PolySeries, dot_gradients, format_rational, grlex_key
+from .series import (PolySeries, dot_gradients, format_rational, grlex_key,
+                     integer_slice, widen)
 
 
 class FormalAction:
@@ -58,26 +62,36 @@ class SternbergMap:
         self.trunc = trunc
 
 
-# -- slices: dicts from the multi-indices of one total degree to Fractions
-
-def _gradient(part: dict, dim: int) -> list[dict]:
-    """Per-axis partial derivatives of one homogeneous slice."""
-    grad: list[dict] = [{} for _ in range(dim)]
-    for k, c in part.items():
+def _gradient(part: tuple, dim: int) -> tuple:
+    """Per-axis partial derivatives of one nonempty integer slice."""
+    grad: list[list] = [[] for _ in range(dim)]
+    for k, c in part[1]:
         for i, e in enumerate(k):
             if e:
-                grad[i][k[:i] + (e - 1,) + k[i + 1:]] = c * e
-    return grad
+                grad[i].append((k[:i] + (e - 1,) + k[i + 1:], c * e))
+    return part[0], grad
 
 
-def _add_dot(acc: dict, ga: list[dict], gb: list[dict], scale) -> None:
-    """acc += scale * (ga . gb) for two per-axis gradient slices."""
-    for pa, pb in zip(ga, gb):
-        for ka, ca in pa.items():
-            ca *= scale
-            for kb, cb in pb.items():
+def _add_dot(acc: list, ga: tuple | None, gb: tuple | None, scale) -> None:
+    """acc += scale * (ga . gb) for two integer gradient slices (None if empty)."""
+    if not (ga and gb):
+        return
+    f = widen(acc, ga[0] * gb[0] * scale.denominator) * scale.numerator
+    nums = acc[1]
+    for pa, pb in zip(ga[1], gb[1]):
+        for ka, ca in pa:
+            ca *= f
+            for kb, cb in pb:
                 k = tuple(map(add, ka, kb))
-                acc[k] = acc.get(k, 0) + ca * cb
+                nums[k] = nums.get(k, 0) + ca * cb
+
+
+def _add_slice(acc: list, part: tuple | None, scale) -> None:
+    """acc += scale * part for one integer slice."""
+    if part:
+        f = widen(acc, part[0] * scale.denominator) * scale.numerator
+        for k, c in part[1]:
+            acc[1][k] = acc[1].get(k, 0) + f * c
 
 
 def _divide(src: dict, omega, shift, free=None) -> tuple[dict, Fraction]:
@@ -123,31 +137,33 @@ def solve_transport(action: FormalAction, shift, trunc: int,
     """
     model = action.model
     dim = model.dim
-    inv_m = Fraction(1) / model.mass
-    field = [_gradient(part, dim) if a >= 3 else None
-             for a, part in enumerate(action.S0.by_degree())]
-    rhs = rhs.by_degree() if rhs is not None else []
-    kernel = kernel.by_degree() if kernel is not None else []
+    scale = Fraction(-1) / model.mass
+    S0 = action.S0.graded()
+    field = [_gradient(S0[a], dim) if a in S0 else None
+             for a in range(action.S0.trunc + 1)]
+    rhs = rhs.graded() if rhs is not None else {}
+    kernel = kernel.graded() if kernel is not None else {}
     pin = seed if seed is not None else free
     pin_degree = sum(pin) if pin is not None else -1
     terms: dict = {}
-    grads: list[list[dict]] = []
+    grads: list[tuple | None] = []
     lam = Fraction(0)
     for d in range(trunc + 1):
-        src = dict(rhs[d]) if d < len(rhs) else {}
+        acc = [1, {}]
+        _add_slice(acc, rhs.get(d), 1)
         for b in range(max(1, d + 3 - len(field)), d):
-            _add_dot(src, field[d + 2 - b], grads[b], -inv_m)
-        if lam and d < len(kernel):
-            for k, c in kernel[d].items():
-                src[k] = src.get(k, 0) + lam * c
-        part, obstruction = _divide(src, model.omega, shift,
-                                    pin if d == pin_degree else None)
+            _add_dot(acc, field[d + 2 - b], grads[b], scale)
+        if lam:
+            _add_slice(acc, kernel.get(d), lam)
+        part, obstruction = _divide(
+            {k: Fraction(v, acc[0]) for k, v in acc[1].items() if v},
+            model.omega, shift, pin if d == pin_degree else None)
         if d == pin_degree:
             lam = -obstruction
             if seed is not None:
                 part[seed] = Fraction(1)
         terms.update(part)
-        grads.append(_gradient(part, dim))
+        grads.append(_gradient(integer_slice(part.items()), dim) if part else None)
     return PolySeries(dim, trunc, terms), lam
 
 
@@ -156,18 +172,20 @@ def solve_hj_formal(model: OscillatorModel, trunc: int) -> FormalAction:
     formally through total degree ``trunc``."""
     if trunc < 2:
         raise BadTruncation(f"truncation degree must be >= 2, got {trunc}")
-    V = model.potential_series(trunc).by_degree()
-    inv_2m = Fraction(1, 2) / model.mass
+    V = model.potential_series(trunc).graded()
+    half, whole = Fraction(-1, 2) / model.mass, Fraction(-1) / model.mass
     terms: dict = {}
     grads = [None] * 3  # only the slices of degree >= 3 enter the sums
     for d in range(3, trunc + 1):
-        src = dict(V[d])
+        acc = [1, {}]
+        _add_slice(acc, V.get(d), 1)
         for i in range(3, (d + 2) // 2 + 1):
-            j = d + 2 - i
-            _add_dot(src, grads[i], grads[j], -inv_2m if i == j else -2 * inv_2m)
-        part, _ = _divide(src, model.omega, 0)
+            _add_dot(acc, grads[i], grads[d + 2 - i], half if 2 * i == d + 2 else whole)
+        part, _ = _divide({k: Fraction(v, acc[0]) for k, v in acc[1].items() if v},
+                          model.omega, 0)
         terms.update(part)
-        grads.append(_gradient(part, model.dim))
+        grads.append(_gradient(integer_slice(part.items()), model.dim)
+                     if part else None)
     S0 = model.quadratic_action(trunc) + PolySeries(model.dim, trunc, terms)
     return FormalAction(model, S0)
 

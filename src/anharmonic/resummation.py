@@ -15,6 +15,7 @@ harmonic oscillator basis, and must be stable under basis doubling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -176,6 +177,11 @@ def reference_energy(kappa: int, n: int, mu: float, basis_size: int = 200) -> fl
         raise UnsupportedKappa(f"kappa must be >= 1, got {kappa}")
     if not 0 <= n < basis_size:
         raise IndexOutOfRange(f"level n = {n} outside [0, {basis_size})")
+    # <i|x^(2 kappa)|i> >= <i|a^kappa a+^kappa|i> / 2^kappa >= ((i + 1) / 2)^kappa
+    # (no entry of a or a+ is negative), so at i = 2 N - 1 of the doubled basis
+    # an entry of at least N^kappa must overflow in _spectrum.
+    if kappa * math.log(basis_size) > math.log(sys.float_info.max):
+        raise NotConverged(f"x^{2 * kappa} overflows on {2 * basis_size} states")
     coarse = _spectrum(kappa, mu, basis_size, n)
     fine = _spectrum(kappa, mu, 2 * basis_size, n)
     if not abs(fine - coarse) < 1e-9:

@@ -5,24 +5,24 @@ non-negative integer exponents) to :class:`fractions.Fraction` coefficients,
 graded by total degree and truncated at an explicit degree ``trunc``.  All
 arithmetic is exact; zero coefficients are never stored, so equality of series
 is equality of the underlying maps.  Mixed-truncation operations truncate at
-the minimum of the operand truncations.
+the minimum of the operand truncations.  Serialization uses graded
+lexicographic term order, with rationals as ``"p/q"`` strings.
 
-Serialization uses graded lexicographic term order for determinism, with
-rationals rendered as ``"p/q"`` strings.
+Products run in integers: a series caches a graded integer view (each
+nonempty slice as integer numerators over the lcm of its denominators), and
+``__mul__`` sums slice-pair products per output degree into one ``Fraction``
+per coefficient.  Arithmetic results skip the constructor's per-term checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    AxisOutOfRange,
-    DegreeOutOfRange,
-    DimensionMismatch,
-)
+from .errors import AxisOutOfRange, DegreeOutOfRange, DimensionMismatch
 
-Rational = Fraction
 MultiIndex = tuple
 
 
@@ -37,7 +37,7 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as ``"p/q"`` (or ``"p"`` when the denominator is 1)."""
-    value = Fraction(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -48,10 +48,26 @@ def grlex_key(index: MultiIndex):
     return (sum(index), tuple(-e for e in index))
 
 
+def integer_slice(terms) -> tuple[int, list]:
+    """``(L, [(k, n), ...])``: each (k, c) of ``terms`` as n / L, L = lcm."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+
+
+def widen(acc: list, den: int) -> int:
+    """Rescale ``acc = [L, {k: n}]`` (n / L at k) to lcm(L, den); return L // den."""
+    if acc[0] % den:
+        g = den // gcd(acc[0], den)
+        for k in acc[1]:
+            acc[1][k] *= g
+        acc[0] *= g
+    return acc[0] // den
+
+
 class PolySeries:
     """Immutable truncated formal power series with exact rational terms."""
 
-    __slots__ = ("dim", "trunc", "_terms")
+    __slots__ = ("dim", "trunc", "_terms", "_view")
 
     def __init__(self, dim: int, trunc: int, terms: Mapping[MultiIndex, Fraction] | None = None):
         if dim < 1:
@@ -74,7 +90,14 @@ class PolySeries:
                 c = Fraction(c)
                 if c != 0:
                     clean[k] = c
-        self._terms = clean
+        self._terms, self._view = clean, None
+
+    @classmethod
+    def _trusted(cls, dim: int, trunc: int, terms: dict) -> "PolySeries":
+        """Wrap a clean map (no zeros, degrees <= trunc) without copying it."""
+        out = object.__new__(cls)
+        out.dim, out.trunc, out._terms, out._view = dim, trunc, terms, None
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -112,6 +135,16 @@ class PolySeries:
             return 0
         return max(sum(k) for k in self._terms)
 
+    def graded(self) -> dict[int, tuple[int, list]]:
+        """The cached integer view: degree d -> :func:`integer_slice` of its
+        terms, nonempty slices in increasing d.  Equality ignores it."""
+        if self._view is None:
+            slices: dict = {}
+            for k, c in self._terms.items():
+                slices.setdefault(sum(k), []).append((k, c))
+            self._view = {d: integer_slice(slices[d]) for d in sorted(slices)}
+        return self._view
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySeries):
             return NotImplemented
@@ -138,12 +171,14 @@ class PolySeries:
         trunc = min(self.trunc, other.trunc)
         terms = dict(self._terms)
         for k, c in other._terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return PolySeries(self.dim, trunc, terms)
+            terms[k] = terms[k] + c if k in terms else c
+        cut = max(self.trunc, other.trunc) > trunc
+        return PolySeries._trusted(self.dim, trunc, {
+            k: c for k, c in terms.items() if c and not (cut and sum(k) > trunc)})
 
     def __neg__(self) -> "PolySeries":
-        return PolySeries(self.dim, self.trunc,
-                          {k: -c for k, c in self._terms.items()})
+        return PolySeries._trusted(self.dim, self.trunc,
+                                   {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "PolySeries") -> "PolySeries":
         return self + (-other)
@@ -151,22 +186,27 @@ class PolySeries:
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_same_dim(other)
         trunc = min(self.trunc, other.trunc)
-        terms: dict[MultiIndex, Fraction] = {}
-        for ka, ca in self._terms.items():
-            da = sum(ka)
-            for kb, cb in other._terms.items():
-                if da + sum(kb) > trunc:
-                    continue
-                k = tuple(a + b for a, b in zip(ka, kb))
-                terms[k] = terms.get(k, Fraction(0)) + ca * cb
-        return PolySeries(self.dim, trunc, terms)
+        acc: dict[int, list] = {}  # degree -> [L, {k: numerator over L}]
+        for da, (la, ta) in self.graded().items():
+            for db, (lb, tb) in other.graded().items():
+                if da + db > trunc:
+                    break
+                slot = acc.setdefault(da + db, [la * lb, {}])
+                f, nums = widen(slot, la * lb), slot[1]
+                for ka, na in ta:
+                    na *= f
+                    for kb, nb in tb:
+                        k = tuple(map(add, ka, kb))
+                        nums[k] = nums.get(k, 0) + na * nb
+        return PolySeries._trusted(self.dim, trunc, {
+            k: Fraction(n, q) for q, ns in acc.values() for k, n in ns.items() if n})
 
     def scale(self, value) -> "PolySeries":
         value = Fraction(value)
         if value == 0:
             return PolySeries.zero(self.dim, self.trunc)
-        return PolySeries(self.dim, self.trunc,
-                          {k: c * value for k, c in self._terms.items()})
+        return PolySeries._trusted(self.dim, self.trunc,
+                                   {k: c * value for k, c in self._terms.items()})
 
     def with_truncation(self, trunc: int) -> "PolySeries":
         """Restrict (or relabel upward) the truncation degree."""
@@ -178,44 +218,26 @@ class PolySeries:
         if not (0 <= axis < self.dim):
             raise AxisOutOfRange(
                 f"axis {axis} out of range for dimension {self.dim}")
-        trunc = max(self.trunc - 1, 0)
-        terms: dict[MultiIndex, Fraction] = {}
-        for k, c in self._terms.items():
-            e = k[axis]
-            if e == 0:
-                continue
-            kk = k[:axis] + (e - 1,) + k[axis + 1:]
-            terms[kk] = terms.get(kk, Fraction(0)) + c * e
-        return PolySeries(self.dim, trunc, terms)
+        # k -> k - e_axis is one-to-one, so nothing collides or cancels
+        return PolySeries._trusted(self.dim, max(self.trunc - 1, 0), {
+            k[:axis] + (k[axis] - 1,) + k[axis + 1:]: c * k[axis]
+            for k, c in self._terms.items() if k[axis]})
 
     def gradient(self) -> list["PolySeries"]:
         return [self.partial_derivative(i) for i in range(self.dim)]
 
     def laplacian(self) -> "PolySeries":
-        trunc = max(self.trunc - 2, 0)
-        terms: dict[MultiIndex, Fraction] = {}
-        for k, c in self._terms.items():
-            for axis, e in enumerate(k):
-                if e < 2:
-                    continue
-                kk = k[:axis] + (e - 2,) + k[axis + 1:]
-                terms[kk] = terms.get(kk, Fraction(0)) + c * e * (e - 1)
-        return PolySeries(self.dim, trunc, terms)
+        out = PolySeries.zero(self.dim, max(self.trunc - 2, 0))
+        for i in range(self.dim):
+            out = out + self.partial_derivative(i).partial_derivative(i)
+        return out
 
     def homogeneous_component(self, degree: int) -> "PolySeries":
         if not (0 <= degree <= self.trunc):
             raise DegreeOutOfRange(
                 f"degree {degree} outside [0, {self.trunc}]")
-        terms = {k: c for k, c in self._terms.items() if sum(k) == degree}
-        return PolySeries(self.dim, self.trunc, terms)
-
-    def by_degree(self) -> list[dict]:
-        """The terms split by total degree: entry d (0 <= d <= trunc) maps
-        each degree-d multi-index to its coefficient."""
-        graded: list[dict] = [{} for _ in range(self.trunc + 1)]
-        for k, c in self._terms.items():
-            graded[sum(k)][k] = c
-        return graded
+        return PolySeries._trusted(self.dim, self.trunc, {
+            k: c for k, c in self._terms.items() if sum(k) == degree})
 
     # -- evaluation --------------------------------------------------------
 

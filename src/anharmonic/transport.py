@@ -11,7 +11,8 @@ Conventions (all exact rationals):
       -(1/m) grad S_0 . grad S_k
       - (1/2m) sum_{j=1}^{k-1} C(k,j) grad S_j . grad S_{k-j}
       + (k/2m) lap S_{k-1}  =  k E_{k-1},
-  with S_k(0) = 0 and E_{k-1} fixed by the degree-zero obstruction.
+  with S_k(0) = 0 and E_{k-1} fixed by the degree-zero obstruction.  As
+  C(k,j) = C(k,k-j), the right side forms each product once, for j <= k/2.
 * Excited states for quantum numbers m (|m| >= 1) use the shift
   dE_0 = sum m_i omega_i, whose divisor vanishes on x^m.  phi_0 is seeded
   by x^m with a zero right side; for k >= 1,
@@ -79,16 +80,15 @@ def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
             f"order {order} needs action truncation >= {2 * order}, got {D} "
             f"(order k consumes two degrees of reliable data)",
             required=2 * order, available=D)
-    inv_m = Fraction(1) / model.mass
-    inv_2m = inv_m / 2
+    inv_2m = Fraction(1, 2) / model.mass
     corrections = [action.S0]
     grads = [action.S0.gradient()]
     energies: list[Fraction] = []
     for k in range(1, order + 1):
         rhs = corrections[k - 1].laplacian().scale(Fraction(k) * inv_2m)
-        for j in range(1, k):
-            rhs = rhs - dot_gradients(grads[j], grads[k - j]) \
-                .scale(Fraction(comb(k, j)) * inv_2m)
+        for j in range(1, k // 2 + 1):
+            weight = comb(k, j) * (1 if 2 * j == k else 2)
+            rhs = rhs - dot_gradients(grads[j], grads[k - j]).scale(weight * inv_2m)
         sk, lam = solve_transport(action, 0, rhs.trunc, rhs,
                                   free=(0,) * model.dim)
         energies.append(-lam / k)

@@ -230,6 +230,15 @@ class TestExitCodes:
         assert payload["error"] == "PoleOnRay"
         assert all(t > 0 for t in payload["payload"]["poles"])
 
+    def test_resum_builtin_keeps_given_level(self, capsys):
+        """The builtin series defaults kappa only; --n 500 is out of range."""
+        code, out, err = run_cli(capsys, "resum", "--series",
+                                 "builtin:quartic-ground", "--mu", "0.1",
+                                 "--n", "500")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip())["error"] == "IndexOutOfRange"
+
     @pytest.mark.parametrize("argv, error", [
         (("--kappa", "-1"), "UnsupportedKappa"),
         (("--kappa", "0"), "UnsupportedKappa"),

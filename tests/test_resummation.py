@@ -273,6 +273,32 @@ class TestBandedReference:
             with pytest.raises(NotConverged):
                 reference_energy(kappa, 0, mu)
 
+    def test_overflowing_kappa_raises_before_any_band(self, monkeypatch):
+        """Once N^kappa overflows, NotConverged comes before any band is
+        built (basis 200: from kappa = 134; basis 50: from 182)."""
+        def unreachable(*_args):
+            raise AssertionError("_spectrum called")
+
+        monkeypatch.setattr(resummation, "_spectrum", unreachable)
+        for kappa, basis in ((134, 200), (200, 200), (182, 50), (10**6, 50)):
+            with pytest.raises(NotConverged):
+                reference_energy(kappa, 0, 0.1, basis)
+        for kappa, basis in ((133, 200), (181, 50)):
+            with pytest.raises(AssertionError):
+                reference_energy(kappa, 0, 0.1, basis)
+
+    def test_overflow_bound_is_a_lower_bound(self):
+        """<i|x^(2 kappa)|i> >= ((i + 1) / 2)^kappa, the bound behind the
+        early NotConverged, on a dense position matrix (exact for
+        i < size - kappa)."""
+        size = 60
+        step = np.sqrt(np.arange(1, size) / 2.0)
+        x = np.diag(step, 1) + np.diag(step, -1)
+        for kappa in range(1, 9):
+            i = np.arange(size - kappa)
+            diag = np.diag(np.linalg.matrix_power(x, 2 * kappa))[:size - kappa]
+            assert (diag >= ((i + 1) / 2.0) ** kappa * (1 - 1e-12)).all()
+
     def test_band_wider_than_basis(self):
         """2 kappa + 1 diagonals may outnumber the basis states; LAPACK then
         gets only the diagonals that exist."""

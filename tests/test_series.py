@@ -182,3 +182,117 @@ def test_additive_inverse_and_identity(a):
 @given(poly_series())
 def test_json_round_trip_random(a):
     assert PolySeries.from_json(a.to_json()) == a
+
+
+# -- the integer product against the term-by-term Fraction product -----------
+
+def naive_mul(a, b):
+    """The Fraction product term by term, as PolySeries.__mul__ computed it
+    before it multiplied integer slices: the oracle of the integer kernel."""
+    trunc = min(a.trunc, b.trunc)
+    terms = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if sum(ka) + sum(kb) <= trunc:
+                k = tuple(x + y for x, y in zip(ka, kb))
+                terms[k] = terms.get(k, Fraction(0)) + ca * cb
+    return PolySeries(a.dim, trunc, terms)
+
+
+def naive_add(a, b):
+    trunc = min(a.trunc, b.trunc)
+    terms = dict(a.items())
+    for k, c in b.items():
+        terms[k] = terms.get(k, Fraction(0)) + c
+    return PolySeries(a.dim, trunc, terms)
+
+
+# shared factors make the running lcm both grow and stay put
+_DENOMINATORS = [1, 2, 6, 9, 2**301, 3**190, 2**301 * 3**190 * 5]
+
+
+@st.composite
+def graded_series(draw, dim):
+    """Up to four nonempty slices (the others empty) of mixed height, up to
+    330 bits, at a drawn truncation."""
+    trunc = draw(st.integers(min_value=0, max_value=9))
+    terms = {}
+    for d in draw(st.sets(st.integers(min_value=0, max_value=trunc), max_size=4)):
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            cuts = sorted(draw(st.integers(min_value=0, max_value=d))
+                          for _ in range(dim - 1))
+            k = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [d]))
+            bits = draw(st.sampled_from([3, 64, 330]))
+            num = draw(st.integers(min_value=-2**bits, max_value=2**bits))
+            den = draw(st.one_of(st.sampled_from(_DENOMINATORS),
+                                 st.integers(min_value=1, max_value=2**bits)))
+            terms[k] = Fraction(num, den)
+    return PolySeries(dim, trunc, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mul_matches_naive_mul(data):
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    a, b = data.draw(graded_series(dim)), data.draw(graded_series(dim))
+    zero = PolySeries.zero(dim, data.draw(st.integers(min_value=0, max_value=9)))
+    for x, y in ((a, b), (b, a), (a, a), (a, zero), (zero, b), (a + b, a - b)):
+        product, oracle = x * y, naive_mul(x, y)
+        assert product == oracle
+        assert hash(product) == hash(oracle)
+    # (a + b)(a - b) = a^2 - b^2: cross terms cancel exactly in the accumulator
+    assert (a + b) * (a - b) == a * a - b * b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_add_matches_naive_add(data):
+    dim = data.draw(st.integers(min_value=1, max_value=3))
+    a, b = data.draw(graded_series(dim)), data.draw(graded_series(dim))
+    for x, y in ((a, b), (a, -a), (a, b.scale(-1))):
+        assert x + y == naive_add(x, y)
+
+
+class TestIntegerKernels:
+    def test_difference_of_squares_cancels(self):
+        x_plus_y = S(2, 4, {(1, 0): 1, (0, 1): 1})
+        x_minus_y = S(2, 4, {(1, 0): 1, (0, 1): -1})
+        product = x_plus_y * x_minus_y
+        assert product == S(2, 4, {(2, 0): 1, (0, 2): -1})
+        assert list(product.items()) == [((2, 0), 1), ((0, 2), -1)]
+
+    def test_add_drops_cancelled_terms_and_truncates(self):
+        a = S(2, 6, {(1, 0): "1/2", (0, 1): "1/3", (3, 3): 2})
+        b = S(2, 4, {(1, 0): "-1/2", (0, 2): 5})
+        total = a + b
+        assert total.trunc == 4
+        assert list(total.items()) == [((0, 1), Fraction(1, 3)), ((0, 2), 5)]
+
+    def test_graded_view(self):
+        a = S(2, 5, {(1, 0): "1/2", (0, 1): "1/3", (3, 0): "5/4", (1, 3): 7})
+        assert a.graded() == {1: (6, [((1, 0), 3), ((0, 1), 2)]),
+                              3: (4, [((3, 0), 5)]),
+                              4: (1, [((1, 3), 7)])}
+        assert a.graded() is a.graded()  # cached
+        assert PolySeries.zero(2, 5).graded() == {}
+
+    def test_cached_view_survives_derived_series(self):
+        """scale, negation and (re)truncation of a series whose view is
+        cached give the right products, and leave the view as it was."""
+        a = S(2, 6, {(1, 0): "1/2", (0, 2): "2/3", (3, 3): 1, (2, 1): "-5/9"})
+        b = S(2, 6, {(1, 1): "3/5", (0, 0): "1/7"})
+        before = a * b
+        view = {d: (den, list(nums)) for d, (den, nums) in a.graded().items()}
+        for derived in (a.scale(Fraction(-7, 3)), -a, a.with_truncation(4),
+                        a.with_truncation(9)):
+            assert derived * b == naive_mul(derived, b)
+            assert b * derived == naive_mul(b, derived)
+        assert a.graded() == view
+        assert a * b == before == naive_mul(a, b)
+
+    def test_equality_and_hash_ignore_the_view(self):
+        a = S(1, 4, {(2,): "1/2"})
+        b = S(1, 4, {(2,): "1/2"})
+        a.graded()
+        assert a == b
+        assert hash(a) == hash(b)
