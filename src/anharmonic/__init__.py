@@ -53,13 +53,11 @@ from .closedform import (
 from .variational import (
     CurveGrid,
     FlowTrajectory,
-    GridSpec,
     HypothesisReport,
     MomentumProvider,
     VariationalResult,
     check_hypotheses,
     decay_bound_satisfied,
-    graded_times,
     minimize_action,
     numeric_s1,
     semi_flow,

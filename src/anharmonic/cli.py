@@ -37,7 +37,7 @@ from .transport import (
     total_energy_series,
 )
 from .variational import (
-    GridSpec,
+    NODES,
     MomentumProvider,
     check_hypotheses,
     minimize_action,
@@ -191,8 +191,7 @@ def _cmd_compare(args) -> int:
 def _cmd_variational(args) -> int:
     model = _load_model(args.model)
     point = _parse_list(args.point)
-    grid = GridSpec(horizon=args.horizon, nodes=args.nodes)
-    result = minimize_action(model, point, grid, tol=args.tol)
+    result = minimize_action(model, point, args.nodes, tol=args.tol)
     _emit_json(result.to_json(), args.output)
     return 0
 
@@ -209,11 +208,9 @@ def _scan_closed(model, args):
 def _scan_variational(model, args):
     axis = _parse_grid(args.grid)
     points = [list(p) for p in product(axis, repeat=model.dim)]
-    grid = GridSpec(horizon=args.horizon, nodes=args.nodes)
-
     rows = []
     for point in points:
-        r = minimize_action(model, point, grid, tol=args.tol)
+        r = minimize_action(model, point, args.nodes, tol=args.tol)
         rows.append((*point, r.action, *r.momentum.tolist(),
                      r.hj_residual, r.ip_energy_drift, r.iterations))
     header = ([f"x{i + 1}" for i in range(model.dim)] + ["action"]
@@ -237,11 +234,10 @@ def _cmd_scan(args) -> int:
 def _cmd_flow(args) -> int:
     model = _load_model(args.model)
     point = _parse_list(args.point)
-    provider = MomentumProvider(model, GridSpec(nodes=args.nodes))
+    provider = MomentumProvider(model, args.nodes)
     compare = None
     if not args.forward:
-        compare = minimize_action(model, point,
-                                  GridSpec(nodes=args.nodes)).curve
+        compare = minimize_action(model, point, args.nodes).curve
     traj = semi_flow(model, point, provider, t_span=args.t_span,
                      compare_curve=compare, forward=args.forward)
     _emit_json(traj.to_json(), args.output)
@@ -366,8 +362,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("variational", help="numerical action minimization")
     p.add_argument("--model", required=True)
     p.add_argument("--point", required=True, help="target x1,...,xn")
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=400)
+    p.add_argument("--nodes", type=int, default=NODES,
+                   help="polynomial degree N of the curve")
     p.add_argument("--tol", type=float, default=1e-10)
     add_common(p)
     p.set_defaults(func=_cmd_variational)
@@ -379,8 +375,8 @@ def build_parser() -> _Parser:
                    default="auto")
     p.add_argument("--n", type=int, default=0, help="closed engine: level")
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=400)
+    p.add_argument("--nodes", type=int, default=NODES,
+                   help="polynomial degree N of the curve")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; has no effect")
@@ -391,7 +387,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--t-span", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=200)
+    p.add_argument("--nodes", type=int, default=NODES,
+                   help="polynomial degree N of the curve")
     p.add_argument("--forward", action="store_true",
                    help="integrate forward (escape detection)")
     add_common(p)

@@ -82,7 +82,7 @@ def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
             required=2 * order, available=D)
     inv_2m = Fraction(1, 2) / model.mass
     corrections = [action.S0]
-    grads = [action.S0.gradient()]
+    grads = [None]  # grad S_j for 1 <= j < order; grad S_0 is never read
     energies: list[Fraction] = []
     for k in range(1, order + 1):
         rhs = corrections[k - 1].laplacian().scale(Fraction(k) * inv_2m)
@@ -93,7 +93,8 @@ def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
                                   free=(0,) * model.dim)
         energies.append(-lam / k)
         corrections.append(sk)
-        grads.append(sk.gradient())
+        if k < order:
+            grads.append(sk.gradient())
     return GroundExpansion(model, order, corrections, energies)
 
 
@@ -156,18 +157,20 @@ def excited_expansion(ground: GroundExpansion, quantum_numbers,
     gap0 = sum(Fraction(q) * w for q, w in zip(m_idx, model.omega))
     S = ground.corrections
     action = FormalAction(model, S[0])
-    grads = [s.gradient() for s in S]
+    grads = [s.gradient() for s in S[1:order + 1]]  # grads[j - 1] = grad S_j
     phi0, _ = solve_transport(action, gap0, min(D, D + sum(m_idx) - 2),
                               seed=m_idx)
     corrections = [phi0]
+    phi_grads = []  # phi_grads[j] = grad phi_j
     gaps = [gap0]
     for k in range(1, order + 1):
+        phi_grads.append(corrections[k - 1].gradient())
         rhs = corrections[k - 1].laplacian().scale(Fraction(k) * inv_2m)
         for j in range(1, k + 1):
             c_kj = Fraction(comb(k, j))
             if j < k:
                 rhs = rhs + corrections[k - j].scale(c_kj * gaps[j])
-            rhs = rhs - dot_gradients(grads[j], corrections[k - j].gradient()) \
+            rhs = rhs - dot_gradients(grads[j - 1], phi_grads[k - j]) \
                 .scale(c_kj * inv_m)
         phik, gap_k = solve_transport(action, gap0, rhs.trunc, rhs,
                                       free=m_idx, kernel=phi0)

@@ -2,42 +2,49 @@
 
 S_0(x) is the minimum of the inverted-potential action
 
-    I[gamma] = int_{-T}^{0} [ (1/2) m |gamma'|^2 + V(gamma) ] dt
+    I[gamma] = int_{-inf}^{0} [ (1/2) m |gamma'|^2 + V(gamma) ] dt
 
-over curves pinned to the origin at t = -T (standing in for t -> -infinity)
-and to x at t = 0.  Discretization: nodes uniform in tau = exp(omega_min t)
-so resolution concentrates near t = 0, piecewise-linear curves, trapezoidal
-quadrature.  The discrete problem is smooth and (for convex V) strictly
-convex, so a damped Newton iteration converges to machine precision
-deterministically.  Its exact Hessian is block-tridiagonal with bandwidth
-dim, and each step is one banded Cholesky solve (``solveh_banded``).
-V, grad V and Hess V come together from one jet: the monomials of the
-exact series of V and of its first and second derivatives are evaluated
-once per point set (powers by repeated multiplication) and combined by
-one matrix product.
+over curves that leave the origin at t = -inf and reach x at t = 0.  With
+q the lcm of the denominators of omega_i / omega_min and c = omega_min / q,
+the substitution s = exp(c t) maps the half-line onto s in (0, 1], turns
+each linear mode exp(omega_i t) into the integer power s^(q omega_i /
+omega_min), and leaves a minimizer analytic in s.  In s the action reads
 
-Accuracy: the trapezoidal/piecewise-linear error is O(h^2) in the node
-spacing, so by default the solver re-minimizes on a doubled grid and
-Richardson-extrapolates the action value; momentum (m gamma'(0)) and
-node velocities use one-sided/centered 5-point stencils on the graded grid.
+    I[gamma] = int_0^1 [ (1/2) m c s |gamma_s|^2 + V(gamma) / (c s) ] ds.
 
-Also here: sampled coercivity/convexity hypothesis checks, the gradient
+Discretization: gamma is the degree-N polynomial through its values at the
+N + 1 Chebyshev-Lobatto nodes of [0, 1], pinned to 0 at s = 0 and to x at
+s = 1, and the integral is taken at 2N Gauss-Legendre points (quadrature
+at the collocation nodes would alias, and the discrete minimum would fall
+below S_0).  The discrete problem is smooth and (for convex V) strictly
+convex, so a damped Newton iteration with one dense Cholesky solve per
+step converges to machine precision deterministically.  V, grad V and
+Hess V come together from one jet: the monomials of the exact series of V
+and of its first and second derivatives are evaluated once per point set
+(powers by repeated multiplication) and combined by one matrix product.
+
+The momentum grad S_0(x) is the endpoint entry of the discrete action
+gradient, dI/dgamma(1), and its x-derivative Hess S_0(x) is the Schur
+complement of the interior block in the discrete action Hessian.  Also
+here: sampled coercivity/convexity hypothesis checks, the gradient
 semi-flow integrator (which must retrace the minimizer curve), and the
 numerical first transport integral
-    S_1(x) = int_{-inf}^{0} [ (lap S_0)/(2m) - sum_j omega_j / 2 ](gamma(t)) dt
-with the Hessian of S_0 the exact x-derivative of the discrete momentum:
-by the implicit function theorem the minimizer moves with its endpoint as
-dP/dx = H^-1 (dg/dx), one extra banded solve with the Newton matrix H.
+
+    S_1(x) = int_{-inf}^{0} [ (lap S_0)/(2m) - sum_j omega_j / 2 ](gamma(t)) dt,
+
+taken at the same Gauss-Legendre points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.integrate import solve_ivp
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     GradientProviderFailure,
@@ -46,6 +53,19 @@ from .errors import (
     NoConvergence,
 )
 from .model import OscillatorModel
+
+
+NODES = 24  # default polynomial degree N of the curve
+_MAX_NODES = 256  # dense matrices grow as (N dim)^2
+_TAIL_TOL = 1e-6  # largest of the last two Chebyshev coefficients, relative
+
+
+def _time_scale(model: OscillatorModel):
+    """c = omega_min / q and the integer exponents q omega_i / omega_min,
+    so that exp(omega_i t) = s^(exponent_i) for s = exp(c t)."""
+    ratios = [w / model.omega_min for w in model.omega]
+    q = math.lcm(*(r.denominator for r in ratios))
+    return float(model.omega_min / q), np.array([int(r * q) for r in ratios])
 
 
 # -- the jet of V ------------------------------------------------------------
@@ -62,7 +82,7 @@ class _ModelEval:
         self.dim = n = model.dim
         self.mass = float(model.mass)
         self.omega = np.array([float(w) for w in model.omega])
-        self.omega_min = float(model.omega_min)
+        self.rate, self.powers = _time_scale(model)
         V = model.potential_series(max(2, model.anharmonic.trunc))
         grad = V.gradient()
         parts = [V, *grad,
@@ -95,40 +115,58 @@ class _ModelEval:
         return self.jet(pts)[0]
 
 
-# -- grids -------------------------------------------------------------------
+# -- the spectral discretization ----------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Discretization parameters: time horizon and node count."""
-    horizon: float | None = None  # default 40 / omega_min
-    nodes: int = 400
-
-    def __post_init__(self):
-        # nodes counts intervals; the 5-point velocity stencils need 5 points
-        if self.nodes < 4:
-            raise ModelFormatError(f"grid needs nodes >= 4, got {self.nodes}")
-        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
-            raise ModelFormatError(
-                f"grid horizon must be finite and positive, got {self.horizon}")
-
-    def resolve_horizon(self, omega_min: float) -> float:
-        return self.horizon if self.horizon is not None else 40.0 / omega_min
+class _Spectral(NamedTuple):
+    """Degree-N matrices on s in [0, 1].  The node at s = 0 is pinned to
+    the origin, so every matrix acting on curve values takes the values at
+    nodes 1..N only."""
+    nodes: np.ndarray  # (N+1,) Chebyshev-Lobatto nodes, ascending
+    diff: np.ndarray  # (N+1, N) d/ds at the nodes
+    gauss: np.ndarray  # (2N,) Gauss-Legendre points
+    weights: np.ndarray  # (2N,) their weights
+    interp: np.ndarray  # P (2N, N): values at the Gauss points
+    slope: np.ndarray  # Q = P D (2N, N): d/ds at the Gauss points
+    stiff: np.ndarray  # Q^T diag(w s) Q (N, N)
+    cheb: np.ndarray  # (N+1, N+1): values at all nodes -> Chebyshev coefficients
 
 
-def graded_times(omega_min: float, horizon: float, nodes: int) -> np.ndarray:
-    """nodes+1 times from -horizon to 0, uniform in tau = exp(omega_min t)."""
-    tau0 = math.exp(-omega_min * horizon)
-    if tau0 == 0.0:
+@functools.cache
+def _spectral(nodes: int) -> _Spectral:
+    """The degree-``nodes`` matrices, built once per degree and shared
+    read-only by every caller."""
+    if not 4 <= nodes <= _MAX_NODES:
         raise ModelFormatError(
-            f"grid horizon {horizon} is too long: exp(-omega_min * horizon) "
-            f"underflows to 0 (omega_min * horizon must stay below about 745)")
-    tau = np.linspace(tau0, 1.0, nodes + 1)
-    return np.log(tau) / omega_min
+            f"nodes (the degree of the curve) must lie in [4, {_MAX_NODES}], "
+            f"got {nodes}")
+    j = np.arange(nodes + 1)
+    s = 0.5 * (1.0 - np.cos(np.pi * j / nodes))
+    bary = (-1.0) ** j  # barycentric weights of the Lobatto nodes
+    bary[[0, -1]] *= 0.5
+    gap = s[:, None] - s[None, :]
+    np.fill_diagonal(gap, 1.0)
+    diff = bary[None, :] / bary[:, None] / gap
+    np.fill_diagonal(diff, 0.0)
+    diff[j, j] = -diff.sum(axis=1)
+    x, w = np.polynomial.legendre.leggauss(2 * nodes)
+    gauss, weights = 0.5 * (x + 1.0), 0.5 * w
+    interp = bary / (gauss[:, None] - s[None, :])
+    interp /= interp.sum(axis=1, keepdims=True)
+    slope = interp @ diff
+    cheb = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * s - 1.0, nodes))
+    spec = _Spectral(
+        nodes=s, diff=diff[:, 1:], gauss=gauss, weights=weights,
+        interp=interp[:, 1:], slope=slope[:, 1:],
+        stiff=slope[:, 1:].T @ ((weights * gauss)[:, None] * slope[:, 1:]),
+        cheb=cheb)
+    for matrix in spec:
+        matrix.flags.writeable = False
+    return spec
 
 
 @dataclass
 class CurveGrid:
-    """Discretized curve: times (t_0 = -T ... t_N = 0) and points in R^n."""
+    """Discretized curve: node times (t_0 = -inf ... t_N = 0) and points."""
     times: np.ndarray
     points: np.ndarray  # (N+1, dim); points[0] = origin, points[-1] = target
 
@@ -152,7 +190,6 @@ class VariationalResult:
             "converged": self.converged,
             "iterations": self.iterations,
             "nodes": int(self.curve.points.shape[0] - 1),
-            "horizon": float(-self.curve.times[0]),
         }
 
 
@@ -217,49 +254,41 @@ def check_hypotheses(model: OscillatorModel, sample_box=None) -> HypothesisRepor
 
 # -- discrete action and Newton minimization ---------------------------------
 
-def _action_and_gradient(ev: _ModelEval, times, pts):
-    dt = np.diff(times)
-    dp = np.diff(pts, axis=0)
-    kinetic = 0.5 * ev.mass * ((dp ** 2).sum(axis=1) / dt).sum()
-    v, grad_v, _ = ev.jet(pts)
-    potential = (0.5 * dt * (v[:-1] + v[1:])).sum()
-    weights = np.zeros(len(times))
-    weights[:-1] += 0.5 * dt
-    weights[1:] += 0.5 * dt
-    grad = weights[:, None] * grad_v
-    vel = dp / dt[:, None]
-    grad[:-1] -= ev.mass * vel
-    grad[1:] += ev.mass * vel
-    return kinetic + potential, grad
+def _action_and_gradient(ev: _ModelEval, spec: _Spectral, free: np.ndarray):
+    """Discrete action, its gradient (N, dim) in the curve values at nodes
+    1..N (``free``), and Hess V at the Gauss points for ``_action_hessian``."""
+    pts = spec.interp @ free
+    vel = spec.slope @ free
+    v, grad_v, hess_v = ev.jet(pts)
+    kinetic = ev.mass * ev.rate * spec.weights * spec.gauss
+    potential = spec.weights / (ev.rate * spec.gauss)
+    action = 0.5 * kinetic @ (vel ** 2).sum(axis=1) + potential @ v
+    grad = (spec.slope.T @ (kinetic[:, None] * vel)
+            + spec.interp.T @ (potential[:, None] * grad_v))
+    return float(action), grad, hess_v
 
 
-def _newton_step_matrix(ev: _ModelEval, times, pts):
-    """Hessian of the discrete action at the interior nodes, in the upper
-    banded storage of ``solveh_banded``: row n - u holds superdiagonal u.
+def _action_hessian(ev: _ModelEval, spec: _Spectral, hess_v: np.ndarray):
+    """Hessian (N dim, N dim) of the discrete action in the values at nodes
+    1..N: kron(Q^T diag(w m c s) Q, I) + P^T blockdiag(w Hess V / (c s)) P."""
+    n, nodes = ev.dim, spec.interp.shape[1]
+    blocks = hess_v * (spec.weights / (ev.rate * spec.gauss))[:, None, None]
+    # one batched product: pot[i, l] = P^T diag(blocks[:, i, l]) P
+    pot = (spec.interp.T * blocks.transpose(1, 2, 0)[:, :, None, :]) @ spec.interp
+    diag = np.arange(n)
+    pot[diag, diag] += ev.mass * ev.rate * spec.stiff
+    return pot.transpose(2, 0, 3, 1).reshape(nodes * n, nodes * n)
 
-    The diagonal blocks fill rows 1..n; the off-diagonal blocks are
-    -m/dt times the identity, i.e. superdiagonal n, which is row 0.
-    """
+
+def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
+            max_iter: int = 60):
+    """Damped Newton on the interior values; the last row of ``free`` is
+    the fixed endpoint.  Returns the minimizer, its action and gradient,
+    and the iteration count."""
     n = ev.dim
-    dt = np.diff(times)
-    inner = pts.shape[0] - 2
-    weights = 0.5 * (dt[:-1] + dt[1:])
-    blocks = ev.jet(pts[1:-1])[2] * weights[:, None, None]
-    blocks += (ev.mass * (1.0 / dt[:-1] + 1.0 / dt[1:]))[:, None, None] * np.eye(n)
-    band = np.zeros((n + 1, inner * n))
-    for u in range(n):
-        i = np.arange(n - u)
-        band[n - u].reshape(inner, n)[:, u:] = blocks[:, i, i + u]
-    band[0].reshape(inner, n)[1:] = (-ev.mass / dt[1:-1])[:, None]
-    return band
-
-
-def _minimize_on_grid(ev: _ModelEval, times, pts0, tol, max_iter=60):
-    pts = pts0.copy()
-    action, grad = _action_and_gradient(ev, times, pts)
-    iterations = 0
-    for _ in range(max_iter):
-        g_inner = grad[1:-1].ravel()
+    action, grad, hess_v = _action_and_gradient(ev, spec, free)
+    for iterations in range(max_iter + 1):
+        g_inner = grad[:-1].ravel()
         gnorm = np.linalg.norm(g_inner)
         # an infinite action passes any relative stopping test
         if not (math.isfinite(action) and math.isfinite(gnorm)):
@@ -267,14 +296,17 @@ def _minimize_on_grid(ev: _ModelEval, times, pts0, tol, max_iter=60):
                 f"discrete action or gradient is not finite (action {action}, "
                 f"gradient norm {gnorm})", iterations=iterations)
         if gnorm <= tol * (1.0 + abs(action)):
-            return pts, action, True, iterations
-        band = _newton_step_matrix(ev, times, pts)
+            return free, action, grad, iterations
+        if iterations == max_iter:
+            break
         try:
-            step = solveh_banded(band, -g_inner, check_finite=False)
+            factor = cho_factor(_action_hessian(ev, spec, hess_v)[:-n, :-n],
+                                check_finite=False)
         except LinAlgError as exc:
             raise HypothesisViolation(
                 f"discrete Hessian is not positive definite (non-convex "
                 f"potential along the path?): {exc}") from exc
+        step = cho_solve(factor, -g_inner, check_finite=False)
         if not np.all(np.isfinite(step)) or float(step @ g_inner) >= 0.0:
             raise HypothesisViolation(
                 "Newton direction is not a descent direction; the sampled "
@@ -282,106 +314,58 @@ def _minimize_on_grid(ev: _ModelEval, times, pts0, tol, max_iter=60):
         # backtracking line search (full steps accepted near the minimum)
         alpha = 1.0
         for _ls in range(40):
-            trial = pts.copy()
-            trial[1:-1] += alpha * step.reshape(pts.shape[0] - 2, ev.dim)
-            new_action, new_grad = _action_and_gradient(ev, times, trial)
+            trial = free.copy()
+            trial[:-1] += alpha * step.reshape(-1, n)
+            new = _action_and_gradient(ev, spec, trial)
             slack = 1e-14 * (1.0 + abs(action))  # rounding floor near optimum
-            if new_action <= action + 1e-4 * alpha * float(step @ g_inner) + slack:
-                pts, action, grad = trial, new_action, new_grad
+            if new[0] <= action + 1e-4 * alpha * float(step @ g_inner) + slack:
+                free = trial
+                action, grad, hess_v = new
                 break
             alpha *= 0.5
         else:
             raise NoConvergence(
                 "line search failed to reduce the discrete action",
                 gradient_norm=float(gnorm))
-        iterations += 1
-    return pts, action, False, iterations
+    raise NoConvergence(
+        f"Newton iteration cap reached at {max_iter} iterations",
+        iterations=max_iter)
 
 
-def _stencil_weights(ts: np.ndarray, t0) -> np.ndarray:
-    """First-derivative weights at t0 for nodes ts (Vandermonde), batched
-    over the leading axes of ts (..., k) and t0 (...)."""
-    d = ts - np.asarray(t0)[..., None]
-    k = ts.shape[-1]
-    mat = d[..., None, :] ** np.arange(k)[:, None]  # mat[..., i, j] = d_j^i
-    rhs = np.zeros(k)
-    rhs[1] = 1.0
-    return np.linalg.solve(mat, rhs)
-
-
-_STENCIL = 5  # nodes per velocity stencil
-
-
-def _node_velocities(times: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Velocity estimates at every node from local polynomial stencils,
-    clipped to lie inside the grid at both ends."""
-    n_nodes = len(times)
-    lo = np.clip(np.arange(n_nodes) - _STENCIL // 2, 0, n_nodes - _STENCIL)
-    window = lo[:, None] + np.arange(_STENCIL)
-    weights = _stencil_weights(times[window], times)
-    return np.einsum("ij,ijk->ik", weights, pts[window])
-
-
-def initial_guess(ev: _ModelEval, times: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linearized minimizer gamma_0x(t) = (x_i e^(omega_i t))_i."""
-    return x[None, :] * np.exp(times[:, None] * ev.omega[None, :])
-
-
-def minimize_action(model: OscillatorModel, x, grid: GridSpec | None = None,
-                    tol: float = 1e-10, refine: bool = True) -> VariationalResult:
+def minimize_action(model: OscillatorModel, x, nodes: int = NODES,
+                    tol: float = 1e-10) -> VariationalResult:
     """Minimize the discretized inverted-potential action to the target x."""
+    spec = _spectral(nodes)
     ev = _ModelEval(model)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (ev.dim,):
         raise GradientProviderFailure(
             f"target point has shape {x.shape}, expected ({ev.dim},)")
-    grid = grid or GridSpec()
-    horizon = grid.resolve_horizon(ev.omega_min)
-    times = graded_times(ev.omega_min, horizon, grid.nodes)
-    pts0 = initial_guess(ev, times, x)
-    pts0[0] = 0.0
-    pts, action, converged, iters = _minimize_on_grid(ev, times, pts0, tol)
-    if not converged:
+    s = spec.nodes
+    # the linearized minimizer x_i exp(omega_i t)
+    free0 = x[None, :] * s[1:, None] ** ev.powers[None, :]
+    free, action, grad, iters = _newton(ev, spec, free0, tol)
+    pts = np.vstack([np.zeros((1, ev.dim)), free])
+    coeffs = np.abs(spec.cheb @ pts)
+    tail = float(coeffs[-2:].max() / coeffs.max()) if coeffs.max() > 0.0 else 0.0
+    if tail > _TAIL_TOL:
         raise NoConvergence(
-            f"Newton iteration cap reached at {iters} iterations",
-            iterations=iters)
-    if refine:
-        fine_times = graded_times(ev.omega_min, horizon, 2 * grid.nodes)
-        fine0 = np.empty((len(fine_times), ev.dim))
-        for i in range(ev.dim):
-            fine0[:, i] = np.interp(fine_times, times, pts[:, i])
-        fine0[0] = 0.0
-        fine0[-1] = x
-        fine_pts, fine_action, converged, it2 = _minimize_on_grid(
-            ev, fine_times, fine0, tol)
-        iters += it2
-        if not converged:
-            raise NoConvergence(
-                f"Newton iteration cap reached on the refined grid at "
-                f"{it2} iterations", iterations=it2)
-        # both the action value and the node positions converge at O(h^2),
-        # and the coarse nodes are exactly every other fine node (the grids
-        # are uniform in tau), so Richardson-extrapolate both
-        action = (4.0 * fine_action - action) / 3.0
-        pts = (4.0 * fine_pts[::2] - pts) / 3.0
-        pts[0] = 0.0
-        pts[-1] = x
-    vel = _node_velocities(times, pts)
-    momentum = ev.mass * (_stencil_weights(times[-_STENCIL:], times[-1])
-                          @ pts[-_STENCIL:])
-    # the first graded interval spans most of the horizon (the curve is
-    # pinned at the origin there, standing in for t -> -inf), so velocity
-    # stencils that straddle node 0 are meaningless; skip those nodes
-    skip = _STENCIL // 2 + 1
-    v = ev.potential(pts[skip:])  # the last node is x
-    energy = 0.5 * ev.mass * (vel[skip:] ** 2).sum(axis=1) - v
-    drift = float(np.abs(energy).max())
+            f"the degree-{nodes} curve is under-resolved: its last two "
+            f"Chebyshev coefficients reach {tail:.3g} of the largest",
+            tail=tail, nodes=nodes)
+    momentum = grad[-1]
+    vel = ev.rate * s[:, None] * (spec.diff @ free)  # gamma_t = c s gamma_s
+    v = ev.potential(pts)
+    energy = 0.5 * ev.mass * (vel ** 2).sum(axis=1) - v
     hj = abs(float((momentum ** 2).sum()) / (2.0 * ev.mass) - float(v[-1]))
+    times = np.empty(nodes + 1)
+    times[0] = -np.inf
+    times[1:] = np.log(s[1:]) / ev.rate
     return VariationalResult(
         curve=CurveGrid(times=times, points=pts),
-        action=float(action), momentum=momentum,
-        ip_energy_drift=drift, hj_residual=hj,
-        converged=converged, iterations=iters)
+        action=action, momentum=momentum,
+        ip_energy_drift=float(np.abs(energy).max()), hj_residual=hj,
+        converged=True, iterations=iters)
 
 
 # -- momentum field provider ---------------------------------------------------
@@ -389,19 +373,21 @@ def minimize_action(model: OscillatorModel, x, grid: GridSpec | None = None,
 class MomentumProvider:
     """grad S_0 and its Hessian, one action minimization per call.
 
-    ``momentum(x)`` returns the terminal momentum m gamma'(0) = grad S_0(x);
-    ``hessian(x)`` differentiates it exactly in x.
+    ``momentum(x)`` returns the endpoint gradient of the discrete action,
+    dI/dgamma(1) = grad S_0(x); ``hessian(x)`` differentiates it exactly
+    in x.
     """
 
-    def __init__(self, model: OscillatorModel, grid: GridSpec | None = None):
+    def __init__(self, model: OscillatorModel, nodes: int = NODES):
+        self._spec = _spectral(nodes)
         self.model = model
-        self.grid = grid or GridSpec(nodes=200)
+        self.nodes = nodes
         self.dim = model.dim
         self._ev = _ModelEval(model)
 
     def _minimize(self, x) -> VariationalResult:
         try:
-            return minimize_action(self.model, x, self.grid, refine=False)
+            return minimize_action(self.model, x, self.nodes)
         except (NoConvergence, HypothesisViolation) as exc:
             raise GradientProviderFailure(
                 f"gradient sample failed at {np.ravel(x).tolist()}: {exc}") from exc
@@ -415,24 +401,17 @@ class MomentumProvider:
     def hessian(self, x) -> np.ndarray:
         """Hess S_0(x) as the x-derivative of the discrete momentum.
 
-        At the minimizer the interior gradient g(P, x) vanishes, and only
-        node N-1 couples to the endpoint x, with dg/dx = -(m/dt_{N-1}) I.
-        So dP/dx = H^-1 (m/dt_{N-1}) E_{N-1}, with H the banded Newton
-        matrix, and the momentum stencil differentiates node by node
-        (dP_N/dx = I, dP_0/dx = 0).
+        At the minimizer the interior gradient vanishes, so the interior
+        values move with the endpoint as -K_ii^-1 K_ix, and the momentum
+        (the endpoint gradient) moves as the Schur complement
+        K_xx - K_xi K_ii^-1 K_ix of the discrete action Hessian K.
         """
-        result = self._minimize(x)
-        times, pts = result.curve.times, result.curve.points
-        n, mass = self.dim, self._ev.mass
-        rhs = np.zeros(((len(times) - 2) * n, n))
-        rhs[-n:] = mass / (times[-1] - times[-2]) * np.eye(n)
-        jac = np.zeros((len(times), n, n))  # jac[i] = dP_i / dx
-        jac[1:-1] = solveh_banded(_newton_step_matrix(self._ev, times, pts), rhs,
-                                  check_finite=False).reshape(-1, n, n)
-        jac[-1] = np.eye(n)
-        # the momentum stencil of minimize_action
-        weights = _stencil_weights(times[-_STENCIL:], times[-1])
-        out = mass * np.einsum("i,ijk->jk", weights, jac[-_STENCIL:])
+        free = self._minimize(x).curve.points[1:]
+        ev, spec, n = self._ev, self._spec, self.dim
+        hess = _action_hessian(ev, spec, _action_and_gradient(ev, spec, free)[2])
+        inner = cho_factor(hess[:-n, :-n], check_finite=False)
+        out = hess[-n:, -n:] - hess[-n:, :-n] @ cho_solve(
+            inner, hess[:-n, -n:], check_finite=False)
         return 0.5 * (out + out.T)
 
 
@@ -502,15 +481,12 @@ def semi_flow(model: OscillatorModel, x, provider, t_span: float | None = None,
     points = sol.y.T[order]
     deviation = None
     if compare_curve is not None:
-        # the minimizer's first graded interval is unresolved by design
-        # (it stands in for the infinite tail), so compare beyond it
-        mask = times >= compare_curve.times[1]
-        dev = 0.0
-        for i in range(model.dim):
-            interp = np.interp(times[mask], compare_curve.times,
-                               compare_curve.points[:, i])
-            dev = max(dev, float(np.abs(interp - points[mask][:, i]).max()))
-        deviation = dev
+        # the curve's nodes inside the integrated span (never the origin,
+        # which sits at t = -inf), against the flow's dense output there
+        node_t = compare_curve.times
+        inside = (node_t >= times[0]) & (node_t <= times[-1])
+        gap = sol.sol(node_t[inside]).T - compare_curve.points[inside]
+        deviation = float(np.abs(gap).max(initial=0.0))
     return FlowTrajectory(times=times, points=points,
                           deviation_from_minimizer=deviation,
                           escape_time=escape_time)
@@ -528,28 +504,25 @@ def decay_bound_satisfied(traj: FlowTrajectory, omega_min: float,
 # -- numerical first transport integral ----------------------------------------
 
 def numeric_s1(model: OscillatorModel, x, provider: MomentumProvider | None = None,
-               grid: GridSpec | None = None) -> float:
+               nodes: int = NODES) -> float:
     """S_1(x) from the transport integral along the minimizing curve.
 
-    The half-line integral is compactified with tau = exp(omega_min t),
-    dt = d tau / (omega_min tau); the transformed integrand extends by 0 to
-    tau = 0 because trace Hess S_0 - m sum omega_j vanishes quadratically at
-    the origin.  The curve nodes are uniform in tau, so a strided subsample
-    of about 80 intervals feeds a composite Simpson rule directly.
+    In s = exp(c t) the integral is int_0^1 f(gamma(s)) ds / (c s) with
+    f = tr Hess S_0 / (2m) - sum omega_j / 2, which vanishes at the origin.
+    It is taken at the 2N Gauss-Legendre points of the curve, one Hessian
+    (one minimization) per point.
     """
-    mass, omega_min = float(model.mass), float(model.omega_min)
+    mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
-    provider = provider or MomentumProvider(model, grid=GridSpec(nodes=400))
-    result = minimize_action(model, x, grid or GridSpec(), refine=False)
-    times = result.curve.times
-    n_nodes = len(times) - 1
-    idx = np.r_[0:n_nodes:max(1, n_nodes // 80), n_nodes]
-    tau = np.exp(omega_min * times[idx])
-    values = np.zeros(len(idx))  # at the pinned origin the limit is exactly 0
-    for j in range(1, len(idx)):
-        hess = provider.hessian(result.curve.points[idx[j]])
-        f = np.trace(hess) / (2.0 * mass) - 0.5 * float(sum(model.omega))
-        values[j] = f / (omega_min * tau[j])
-    return float(simpson(values, x=tau))
+    provider = provider or MomentumProvider(model, nodes)
+    curve = minimize_action(model, x, nodes).curve
+    spec = _spectral(nodes)
+    rate, _ = _time_scale(model)
+    half_omega = 0.5 * float(sum(model.omega))
+    total = 0.0
+    for s, w, pt in zip(spec.gauss, spec.weights, spec.interp @ curve.points[1:]):
+        f = np.trace(provider.hessian(pt)) / (2.0 * mass) - half_omega
+        total += w * f / (rate * s)
+    return float(total)

@@ -41,7 +41,6 @@ from anharmonic.transport import (
     transport_residual,
 )
 from anharmonic.variational import (
-    GridSpec,
     MomentumProvider,
     _ModelEval,
     decay_bound_satisfied,
@@ -237,7 +236,7 @@ class TestCoupled2D:
 
     def test_semi_flow_decays_exponentially(self):
         model = self.model()
-        provider = MomentumProvider(model, GridSpec(nodes=200))
+        provider = MomentumProvider(model)
         traj = semi_flow(model, [0.8, 0.6], provider, t_span=8.0)
         assert decay_bound_satisfied(traj, omega_min=1.0, epsilon=0.1)
 

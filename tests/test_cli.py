@@ -84,7 +84,7 @@ class TestNumerics:
     def test_variational_json(self, capsys):
         code, out, _ = run_cli(capsys, "variational",
                                "--model", "builtin:quartic",
-                               "--point", "0.5", "--nodes", "200")
+                               "--point", "0.5", "--nodes", "32")
         assert code == 0
         data = json.loads(out)
         assert data["converged"] is True
@@ -102,7 +102,7 @@ class TestNumerics:
 
     def test_scan_variational_threads(self, capsys):
         argv = ("scan", "--model", "builtin:quartic", "--grid", "0.2:0.6:3",
-                "--engine", "variational", "--nodes", "100")
+                "--engine", "variational", "--nodes", "16")
         code, out, _ = run_cli(capsys, *argv, "--threads", "2")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
@@ -114,11 +114,11 @@ class TestNumerics:
 
     def test_flow_backward(self, capsys):
         code, out, _ = run_cli(capsys, "flow", "--model", "builtin:quartic",
-                               "--point", "0.8", "--nodes", "100",
+                               "--point", "0.8", "--nodes", "20",
                                "--t-span", "6.0")
         assert code == 0
         data = json.loads(out)
-        assert data["deviation_from_minimizer"] < 1e-2
+        assert data["deviation_from_minimizer"] < 1e-6
         assert data["escape_time"] is None
 
     def test_resum_builtin(self, capsys):
@@ -200,11 +200,9 @@ class TestExitCodes:
         for command in (("variational", "--point", "0.5"),
                         ("scan", "--grid", "0.2:0.4:2", "--engine", "variational"),
                         ("flow", "--point", "0.5"))
-        for grid in (("--nodes", "0"), ("--nodes", "3"), ("--horizon", "0"),
-                     ("--horizon=-1",), ("--horizon", "nan"), ("--horizon", "inf"),
-                     # exp(-omega_min T) underflows to 0
-                     ("--horizon", "800"))
-        if command[0] != "flow" or grid[0] == "--nodes"
+        # the dense Newton matrices grow as nodes^2: reject before allocating
+        for grid in (("--nodes", "0"), ("--nodes", "3"), ("--nodes", "257"),
+                     ("--nodes", "1000000"))
     ], ids=" ".join)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_grid_is_2_with_json(self, capsys, argv):

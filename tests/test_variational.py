@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.linalg import solveh_banded
 
 from anharmonic import variational
 from anharmonic.closedform import Kappa1DModel, s0_closed, s1_closed
+from anharmonic.hjformal import solve_hj_formal
 from anharmonic.errors import (
     GradientProviderFailure,
     HypothesisViolation,
@@ -18,18 +18,18 @@ from anharmonic.errors import (
 )
 from anharmonic.model import OscillatorModel, kappa_model
 from anharmonic.series import PolySeries
+from anharmonic.transport import ground_expansion
 from anharmonic.variational import (
+    NODES,
     FlowTrajectory,
-    GridSpec,
     MomentumProvider,
     _action_and_gradient,
+    _action_hessian,
     _ModelEval,
-    _newton_step_matrix,
-    _node_velocities,
+    _newton,
+    _spectral,
     check_hypotheses,
     decay_bound_satisfied,
-    graded_times,
-    initial_guess,
     minimize_action,
     numeric_s1,
     semi_flow,
@@ -54,6 +54,21 @@ def coupled_unequal_2d():
     return OscillatorModel(2, [Fraction(1), Fraction(3, 2)], A)
 
 
+def convex_2d(omega2=Fraction(3, 2)):
+    """Convex quartic couplings, frequencies (1, omega2)."""
+    A = PolySeries(2, 8, {(4, 0): Fraction(1, 4), (2, 2): Fraction(1, 4),
+                          (0, 4): Fraction(1, 3)})
+    return OscillatorModel(1, [Fraction(1), omega2], A)
+
+
+def model_3d():
+    """omega = (1, 3/2, 7/3), so s = exp(t / 6) and q = 6."""
+    A = PolySeries(3, 8, {(3, 0, 0): Fraction(1, 5), (1, 1, 1): Fraction(1, 7),
+                          (2, 0, 2): Fraction(1, 3), (0, 4, 0): Fraction(1, 4),
+                          (1, 2, 1): Fraction(-1, 9)})
+    return OscillatorModel(1, [Fraction(1), Fraction(3, 2), Fraction(7, 3)], A)
+
+
 def fd_hessian(provider, x, step=1e-4):
     """Reference Hessian of S_0: Richardson-extrapolated central differences
     of the momentum, 4 dim minimizations."""
@@ -70,15 +85,6 @@ def fd_hessian(provider, x, step=1e-4):
     return 0.5 * (out + out.T)
 
 
-def band_to_dense(band):
-    """Symmetric matrix from the upper banded storage of solveh_banded."""
-    u = band.shape[0] - 1
-    dense = np.diag(band[u])
-    for k in range(1, u + 1):
-        dense += np.diag(band[u - k, k:], k) + np.diag(band[u - k, k:], -k)
-    return dense
-
-
 class TestMinimizer:
     def test_quartic_matches_closed_form(self):
         model = quartic()
@@ -86,7 +92,18 @@ class TestMinimizer:
         for x in (0.3, 1.0, 1.8):
             result = minimize_action(model, [x])
             assert result.converged
-            assert result.action == pytest.approx(s0_closed(cf, x), rel=1e-6)
+            assert result.action == pytest.approx(s0_closed(cf, x), rel=1e-12)
+
+    def test_quartic_s0_on_the_acceptance_grid(self):
+        """The 21 points of the acceptance grid, 1e-12 relative."""
+        model = quartic()
+        cf = Kappa1DModel(mass=1.0, omega0=1.0, g=0.5, kappa=2)
+        for x in np.linspace(-2.0, 2.0, 21):
+            action = minimize_action(model, [x]).action
+            if x == 0.0:
+                assert action == 0.0
+            else:
+                assert action == pytest.approx(s0_closed(cf, float(x)), rel=1e-12)
 
     def test_momentum_matches_action_derivative(self):
         model = quartic()
@@ -115,54 +132,60 @@ class TestMinimizer:
 
     def test_discrete_hessian_positive_definite_at_minimizer(self):
         model = quartic()
-        ev = _ModelEval(model)
-        result = minimize_action(model, [1.0], GridSpec(nodes=60),
-                                 refine=False)
-        band = _newton_step_matrix(ev, result.curve.times, result.curve.points)
-        eigs = np.linalg.eigvalsh(band_to_dense(band))
-        assert eigs[0] > 0.0
+        ev, spec = _ModelEval(model), _spectral(60)
+        free = minimize_action(model, [1.0], 60).curve.points[1:]
+        hess = _action_hessian(ev, spec, _action_and_gradient(ev, spec, free)[2])
+        assert np.linalg.eigvalsh(hess[:-1, :-1])[0] > 0.0
 
-    def test_banded_hessian_matches_gradient_differences(self):
-        """The band is the Jacobian of the interior gradient, and the banded
-        Cholesky step equals a dense solve."""
-        ev = _ModelEval(coupled_unequal_2d())
-        times = graded_times(ev.omega_min, 20.0, 12)
-        pts = initial_guess(ev, times, np.array([0.6, -0.4]))
-        pts[0] = 0.0
-        pts[1:-1] *= 1.0 + 0.2 * np.sin(np.arange(1, 12))[:, None]
-        band = _newton_step_matrix(ev, times, pts)
-        dense = band_to_dense(band)
-        size = 2 * 11
-        assert dense.shape == (size, size)
+    def test_hessian_matches_gradient_differences(self):
+        """The assembled Hessian, endpoint rows included, is the Jacobian of
+        the action gradient away from the minimizer."""
+        ev, spec = _ModelEval(coupled_unequal_2d()), _spectral(12)
+        s = spec.nodes[1:, None]
+        free = np.array([0.6, -0.4]) * s ** ev.powers
+        free[:-1] *= 1.0 + 0.2 * np.sin(np.arange(1, 12))[:, None]
+        hess = _action_hessian(ev, spec, _action_and_gradient(ev, spec, free)[2])
+        size = 2 * 12
+        assert hess.shape == (size, size)
         h = 1e-6
         fd = np.empty((size, size))
         for c in range(size):
             step = np.zeros(size)
             step[c] = h
-            plus, minus = pts.copy(), pts.copy()
-            plus[1:-1] += step.reshape(11, 2)
-            minus[1:-1] -= step.reshape(11, 2)
-            g_plus = _action_and_gradient(ev, times, plus)[1][1:-1].ravel()
-            g_minus = _action_and_gradient(ev, times, minus)[1][1:-1].ravel()
-            fd[:, c] = (g_plus - g_minus) / (2.0 * h)
-        assert np.abs(dense - fd).max() <= 1e-6 * np.abs(dense).max()
-        grad = _action_and_gradient(ev, times, pts)[1][1:-1].ravel()
-        assert solveh_banded(band, -grad) == pytest.approx(
-            np.linalg.solve(dense, -grad), rel=1e-10, abs=1e-14)
+            plus = _action_and_gradient(ev, spec, free + step.reshape(12, 2))[1]
+            minus = _action_and_gradient(ev, spec, free - step.reshape(12, 2))[1]
+            fd[:, c] = (plus - minus).ravel() / (2.0 * h)
+        assert np.abs(hess - fd).max() <= 1e-6 * np.abs(hess).max()
 
-    def test_unconverged_refined_solve_raises(self, monkeypatch):
-        real = variational._minimize_on_grid
-        grids = []
-
-        def coarse_only(ev, times, pts0, tol, max_iter=60):
-            pts, action, converged, iters = real(ev, times, pts0, tol, max_iter)
-            grids.append(len(times))
-            return pts, action, converged and len(grids) == 1, iters
-
-        monkeypatch.setattr(variational, "_minimize_on_grid", coarse_only)
+    def test_iteration_cap_raises(self):
+        ev, spec = _ModelEval(quartic()), _spectral(NODES)
+        free = 0.5 * spec.nodes[1:, None]
         with pytest.raises(NoConvergence):
-            minimize_action(quartic(), [0.5], GridSpec(nodes=50))
-        assert grids == [51, 101]
+            _newton(ev, spec, free, tol=0.0, max_iter=2)
+
+    @pytest.mark.parametrize("model, x, nodes", [
+        (convex_2d(Fraction(101, 100)), [0.7, 0.8], NODES),  # q = 100
+        (quartic(), [0.5], 4),
+    ], ids=["near-resonant", "degree-4"])
+    def test_unresolved_curve_raises(self, model, x, nodes):
+        """A converged curve whose last Chebyshev coefficients stay above
+        1e-6 of the largest is rejected, not reported."""
+        with pytest.raises(NoConvergence) as err:
+            minimize_action(model, x, nodes)
+        assert err.value.payload["nodes"] == nodes
+        assert err.value.payload["tail"] > 1e-6
+
+    def test_smallest_degree_is_exact_for_harmonic(self):
+        model = OscillatorModel(1, [Fraction(1)], PolySeries.zero(1, 6))
+        result = minimize_action(model, [0.7], 4)
+        assert result.action == pytest.approx(0.245, rel=1e-14)
+
+    @pytest.mark.parametrize("nodes", [3, 257])
+    def test_degree_out_of_range_is_a_format_error(self, nodes):
+        with pytest.raises(ModelFormatError):
+            minimize_action(quartic(), [0.5], nodes)
+        with pytest.raises(ModelFormatError):
+            MomentumProvider(quartic(), nodes)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("model, x", [
@@ -182,8 +205,8 @@ class TestMinimizer:
                                 PolySeries.zero(2, 6))
         result = minimize_action(model, [1.0, 1.0])
         # S0 = sum (1/2) m w_i x_i^2 = 1/2 + 1 = 3/2
-        assert result.action == pytest.approx(1.5, rel=1e-6)
-        assert result.momentum == pytest.approx([1.0, 2.0], rel=1e-6)
+        assert result.action == pytest.approx(1.5, rel=1e-12)
+        assert result.momentum == pytest.approx([1.0, 2.0], rel=1e-12)
 
     def test_2d_coupled_against_bvp_oracle(self):
         """Independent check: solve the Euler-Lagrange BVP
@@ -225,10 +248,17 @@ class TestMinimizer:
             minimize_action(quartic(), [1.0, 2.0])
 
     def test_result_json_shape(self):
-        data = minimize_action(quartic(), [0.5], GridSpec(nodes=100)).to_json()
+        data = minimize_action(quartic(), [0.5], 30).to_json()
         assert data["converged"] is True
-        assert data["nodes"] == 100
-        assert data["horizon"] == pytest.approx(40.0)
+        assert data["nodes"] == 30
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_curve_starts_at_the_origin_at_minus_infinity(self):
+        curve = minimize_action(coupled_unequal_2d(), [0.5, -0.3]).curve
+        assert curve.times[0] == -np.inf and curve.times[-1] == 0.0
+        assert np.all(np.diff(curve.times) > 0.0)
+        assert np.array_equal(curve.points[0], [0.0, 0.0])
+        assert np.array_equal(curve.points[-1], [0.5, -0.3])
 
 
 class TestHypotheses:
@@ -270,7 +300,7 @@ class TestHypotheses:
     def test_violation_surfaces_during_minimization(self):
         model = kappa_model(2, g=Fraction(-1, 4))
         with pytest.raises(HypothesisViolation):
-            minimize_action(model, [1.6], GridSpec(nodes=120), refine=False)
+            minimize_action(model, [1.6])
 
 
 class TestHessian:
@@ -281,7 +311,7 @@ class TestHessian:
         (coupled_unequal_2d(), [-0.2, 0.7]),
     ], ids=["quartic-0.9", "quartic-1.6", "coupled-a", "coupled-b"])
     def test_matches_finite_differences(self, model, x):
-        provider = MomentumProvider(model, GridSpec(nodes=200))
+        provider = MomentumProvider(model)
         hess = provider.hessian(x)
         ref = fd_hessian(provider, x)
         assert np.abs(hess - ref).max() <= 1e-7 * np.abs(ref).max()
@@ -295,13 +325,12 @@ class TestHessian:
     def test_harmonic_is_mass_times_omega(self):
         model = OscillatorModel(2, [Fraction(1), Fraction(3, 2)],
                                 PolySeries.zero(2, 6))
-        hess = MomentumProvider(model, GridSpec(nodes=400)).hessian([0.7, -0.4])
+        hess = MomentumProvider(model).hessian([0.7, -0.4])
         expect = np.diag([2.0, 3.0])
-        assert np.abs(hess - expect).max() <= 1e-4 * 3.0
+        assert np.abs(hess - expect).max() <= 1e-12 * 3.0
 
     def test_failure_is_provider_failure(self):
-        provider = MomentumProvider(kappa_model(2, g=Fraction(-1, 4)),
-                                    GridSpec(nodes=120))
+        provider = MomentumProvider(kappa_model(2, g=Fraction(-1, 4)))
         with pytest.raises(GradientProviderFailure):
             provider.hessian([1.6])
 
@@ -309,7 +338,7 @@ class TestHessian:
 class TestSemiFlow:
     def test_harmonic_flow_is_exponential(self):
         model = OscillatorModel(1, [Fraction(1)], PolySeries.zero(1, 6))
-        provider = MomentumProvider(model, GridSpec(nodes=200))
+        provider = MomentumProvider(model)
         traj = semi_flow(model, [1.0], provider, t_span=5.0)
         expect = np.exp(traj.times)
         assert np.abs(traj.points[:, 0] - expect).max() < 1e-4
@@ -317,15 +346,16 @@ class TestSemiFlow:
     def test_backward_flow_retraces_minimizer(self):
         model = quartic()
         result = minimize_action(model, [1.0])
-        provider = MomentumProvider(model, GridSpec(nodes=200))
+        provider = MomentumProvider(model)
         traj = semi_flow(model, [1.0], provider, t_span=8.0,
                          compare_curve=result.curve)
-        assert traj.deviation_from_minimizer < 1e-3
+        assert traj.deviation_from_minimizer < 1e-6
         assert decay_bound_satisfied(traj, 1.0, 0.1)
 
     def test_forward_flow_escapes(self):
         model = quartic()
-        provider = MomentumProvider(model, GridSpec(nodes=120))
+        # the curve to |x| = 50 needs degree 64 to pass the tail check
+        provider = MomentumProvider(model, 64)
         traj = semi_flow(model, [1.0], provider, forward=True, t_span=5.0,
                          escape_radius=50.0)
         assert traj.escape_time is not None
@@ -344,19 +374,17 @@ class TestNumericS1:
 
     def test_harmonic_vanishes(self):
         model = OscillatorModel(1, [Fraction(1)], PolySeries.zero(1, 6))
-        provider = MomentumProvider(model, GridSpec(nodes=200))
-        # zero up to the O(h^2) discretization error of the 200-node curves
-        assert abs(numeric_s1(model, [0.7], provider,
-                              GridSpec(nodes=200))) < 1e-3
+        assert abs(numeric_s1(model, [0.7])) < 1e-12
 
     def test_quartic_matches_closed_form(self):
         cf = Kappa1DModel(mass=1.0, omega0=1.0, g=0.5, kappa=2)
-        value = numeric_s1(quartic(), [1.0])
-        assert value == pytest.approx(s1_closed(cf, 1.0), abs=1e-4)
+        for x in (0.5, 1.0, 1.5):
+            value = numeric_s1(quartic(), [x])
+            assert value == pytest.approx(s1_closed(cf, x), abs=1e-10)
 
     def test_one_minimization_per_sample(self, monkeypatch):
-        """The curve itself plus one per Hessian at the 80 samples past the
-        origin on the default grid."""
+        """The curve itself plus one per Hessian at its 2N Gauss-Legendre
+        points."""
         calls = []
         real = variational.minimize_action
 
@@ -366,42 +394,64 @@ class TestNumericS1:
 
         monkeypatch.setattr(variational, "minimize_action", counted)
         numeric_s1(quartic(), [0.9])
-        assert len(calls) == 81
+        assert len(calls) == 2 * NODES + 1
 
 
-class TestGrid:
-    def test_graded_times_uniform_in_tau(self):
-        times = graded_times(2.0, 20.0, 50)
-        tau = np.exp(2.0 * times)
-        steps = np.diff(tau)
-        assert steps == pytest.approx(np.full(50, steps[0]), rel=1e-12)
-        assert times[-1] == pytest.approx(0.0, abs=1e-14)
-        assert times[0] == pytest.approx(-20.0, rel=1e-12)
+class TestSpectral:
+    @pytest.mark.parametrize("nodes", [4, 11, NODES])
+    def test_matrices_are_exact_on_polynomials(self, nodes):
+        """Values at nodes 1..N of a degree-N polynomial vanishing at s = 0
+        give its derivative at the nodes, its values and derivative at the
+        Gauss points, and its Chebyshev coefficients; the Gauss rule
+        integrates degree 4N - 1 exactly."""
+        spec = _spectral(nodes)
+        rng = np.random.default_rng(nodes)
+        cheb = rng.standard_normal(nodes + 1)
+        cheb[0] -= np.polynomial.chebyshev.chebval(-1.0, cheb)  # p(s = 0) = 0
+        poly = np.polynomial.Chebyshev(cheb, domain=[0.0, 1.0])
+        s, g = spec.nodes, spec.gauss
+        values = poly(s[1:])
+        assert spec.diff @ values == pytest.approx(poly.deriv()(s), abs=1e-9)
+        assert spec.interp @ values == pytest.approx(poly(g), abs=1e-12)
+        assert spec.slope @ values == pytest.approx(poly.deriv()(g), abs=1e-9)
+        assert spec.cheb @ poly(s) == pytest.approx(cheb, abs=1e-12)
+        top = 4 * nodes - 1
+        assert spec.weights @ g ** top == pytest.approx(1.0 / (top + 1), rel=1e-12)
+        assert spec.nodes[0] == 0.0 and spec.nodes[-1] == 1.0
+        assert spec.nodes.flags.writeable is False
 
-    def test_node_velocities_exact_for_quartic_polynomials(self):
-        """5-point stencils differentiate degree <= 4 exactly at every node,
-        the clipped windows at both ends included."""
-        times = graded_times(1.0, 40.0, 50)
-        pts = np.stack([times ** k for k in range(5)], axis=1)
-        exact = np.stack([k * times ** max(k - 1, 0) for k in range(5)], axis=1)
-        vel = _node_velocities(times, pts)
-        assert vel.shape == pts.shape
-        for k in range(5):
-            scale = max(1.0, float(np.abs(exact[:, k]).max()))
-            assert np.abs(vel[:, k] - exact[:, k]).max() <= 1e-9 * scale
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_underflowing_horizon_fails_up_front(self):
-        """omega_min T above about 745 underflows exp(-omega_min T) to 0."""
-        with pytest.raises(ModelFormatError):
-            graded_times(1.0, 800.0, 10)
-        with pytest.raises(ModelFormatError):
-            minimize_action(quartic(), [0.5], GridSpec(horizon=800.0))
-        assert np.isfinite(graded_times(1.0, 700.0, 10)).all()
+class TestFormalOracles:
+    """S_0, Hess S_0 and S_1 against the exact formal series, at points
+    inside half the formal radius (about 0.8 for the convex quartic, read
+    off the growth of its degree slices).  The 2D series are cut at degree
+    40; the 3D one at degree 20, whose higher slices change S_0, Hess S_0
+    and S_1 by less than 1e-14 at these points."""
 
-    def test_smallest_grid_minimizes(self):
-        result = minimize_action(quartic(), [0.5], GridSpec(nodes=4))
-        assert result.converged and math.isfinite(result.action)
+    CASES = [
+        ("unequal-2d", coupled_unequal_2d, 40,
+         [[0.3, -0.2], [-0.2, 0.3], [0.25, 0.25]]),
+        ("convex-2d", convex_2d, 40, [[0.4, 0.3], [-0.3, 0.4]]),
+        ("3d", model_3d, 20, [[0.2, -0.15, 0.1], [0.1, 0.2, -0.2]]),
+    ]
+
+    @pytest.mark.parametrize("make, trunc, xs", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_against_formal_series(self, make, trunc, xs):
+        model = make()
+        action = solve_hj_formal(model, trunc)
+        s1 = ground_expansion(action, 1).corrections[1]
+        second = [[g.partial_derivative(j) for j in range(model.dim)]
+                  for g in action.S0.gradient()]
+        provider = MomentumProvider(model)
+        for x in xs:
+            s0 = action.S0.evaluate(x)
+            assert minimize_action(model, x).action == pytest.approx(s0, rel=1e-12)
+            hess = np.array([[d.evaluate(x) for d in row] for row in second])
+            err = np.abs(provider.hessian(x) - hess).max()
+            assert err <= 1e-10 * np.abs(hess).max()
+            assert numeric_s1(model, x, provider) == pytest.approx(
+                s1.evaluate(x), abs=1e-10)
 
 
 def _magnitude(series, x) -> float:
