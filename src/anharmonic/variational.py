@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,14 +58,15 @@ from .model import OscillatorModel
 NODES = 24  # default polynomial degree N of the curve
 _MAX_NODES = 256  # dense matrices grow as (N dim)^2
 _TAIL_TOL = 1e-6  # largest of the last two Chebyshev coefficients, relative
+_TOL = 1e-10  # Newton stops at |interior gradient| <= _TOL (1 + |action|)
 
 
 def _time_scale(model: OscillatorModel):
-    """c = omega_min / q and the integer exponents q omega_i / omega_min,
-    so that exp(omega_i t) = s^(exponent_i) for s = exp(c t)."""
+    """c = omega_min / q and the integer exponents q omega_i / omega_min (as
+    floats: no int64 bound), so exp(omega_i t) = s^(exponent_i), s = exp(c t)."""
     ratios = [w / model.omega_min for w in model.omega]
     q = math.lcm(*(r.denominator for r in ratios))
-    return float(model.omega_min / q), np.array([int(r * q) for r in ratios])
+    return float(model.omega_min / q), np.array([float(r * q) for r in ratios])
 
 
 # -- the jet of V ------------------------------------------------------------
@@ -164,6 +165,22 @@ def _spectral(nodes: int) -> _Spectral:
     return spec
 
 
+def _discretize(model: OscillatorModel, nodes: int):
+    """The model's jet and the degree-``nodes`` matrices; a degree below a
+    linear mode's exponent q omega_i / omega_min is rejected before any
+    Newton work (omega = (1, 1.4142) has q = 5000 and needs degree 7071)."""
+    spec = _spectral(nodes)
+    ev = _ModelEval(model)
+    top = float(ev.powers.max())
+    if top > nodes:
+        raise ModelFormatError(
+            f"the frequency ratios make s^{top:.0f} a linear mode of the "
+            f"curve, beyond its degree {nodes}: the degree must be at least "
+            f"{top:.0f} (and at most {_MAX_NODES})",
+            exponent=int(top), nodes=nodes)
+    return ev, spec
+
+
 @dataclass
 class CurveGrid:
     """Discretized curve: node times (t_0 = -inf ... t_N = 0) and points."""
@@ -206,15 +223,7 @@ class HypothesisReport:
     lambdas: list
 
     def to_json(self) -> dict:
-        return {
-            "coercivity_ok": self.coercivity_ok,
-            "coercivity_margin": self.coercivity_margin,
-            "coercivity_worst_point": self.coercivity_worst_point,
-            "convexity_ok": self.convexity_ok,
-            "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
-            "convexity_worst_point": self.convexity_worst_point,
-            "lambdas": self.lambdas,
-        }
+        return asdict(self)
 
 
 _LAMBDA_FRACTION = 0.99  # coercivity is tested with lambda_i = 0.99 omega_i
@@ -283,8 +292,8 @@ def _action_hessian(ev: _ModelEval, spec: _Spectral, hess_v: np.ndarray):
 def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
             max_iter: int = 60):
     """Damped Newton on the interior values; the last row of ``free`` is
-    the fixed endpoint.  Returns the minimizer, its action and gradient,
-    and the iteration count."""
+    the fixed endpoint.  Returns the minimizer, its action, gradient and
+    Hess V at the Gauss points, and the iteration count."""
     n = ev.dim
     action, grad, hess_v = _action_and_gradient(ev, spec, free)
     for iterations in range(max_iter + 1):
@@ -296,7 +305,7 @@ def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
                 f"discrete action or gradient is not finite (action {action}, "
                 f"gradient norm {gnorm})", iterations=iterations)
         if gnorm <= tol * (1.0 + abs(action)):
-            return free, action, grad, iterations
+            return free, action, grad, hess_v, iterations
         if iterations == max_iter:
             break
         try:
@@ -333,18 +342,23 @@ def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
 
 
 def minimize_action(model: OscillatorModel, x, nodes: int = NODES,
-                    tol: float = 1e-10) -> VariationalResult:
+                    tol: float = _TOL) -> VariationalResult:
     """Minimize the discretized inverted-potential action to the target x."""
-    spec = _spectral(nodes)
-    ev = _ModelEval(model)
+    return _solve(*_discretize(model, nodes), x, tol)[0]
+
+
+def _solve(ev: _ModelEval, spec: _Spectral, x, tol: float):
+    """``minimize_action`` on a built discretization; also returns Hess V
+    at the Gauss points of the minimizer."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (ev.dim,):
         raise GradientProviderFailure(
             f"target point has shape {x.shape}, expected ({ev.dim},)")
     s = spec.nodes
+    nodes = s.size - 1
     # the linearized minimizer x_i exp(omega_i t)
     free0 = x[None, :] * s[1:, None] ** ev.powers[None, :]
-    free, action, grad, iters = _newton(ev, spec, free0, tol)
+    free, action, grad, hess_v, iters = _newton(ev, spec, free0, tol)
     pts = np.vstack([np.zeros((1, ev.dim)), free])
     coeffs = np.abs(spec.cheb @ pts)
     tail = float(coeffs[-2:].max() / coeffs.max()) if coeffs.max() > 0.0 else 0.0
@@ -361,11 +375,12 @@ def minimize_action(model: OscillatorModel, x, nodes: int = NODES,
     times = np.empty(nodes + 1)
     times[0] = -np.inf
     times[1:] = np.log(s[1:]) / ev.rate
-    return VariationalResult(
+    result = VariationalResult(
         curve=CurveGrid(times=times, points=pts),
         action=action, momentum=momentum,
         ip_energy_drift=float(np.abs(energy).max()), hj_residual=hj,
         converged=True, iterations=iters)
+    return result, hess_v
 
 
 # -- momentum field provider ---------------------------------------------------
@@ -379,21 +394,21 @@ class MomentumProvider:
     """
 
     def __init__(self, model: OscillatorModel, nodes: int = NODES):
-        self._spec = _spectral(nodes)
+        self._ev, self._spec = _discretize(model, nodes)
         self.model = model
         self.nodes = nodes
         self.dim = model.dim
-        self._ev = _ModelEval(model)
 
-    def _minimize(self, x) -> VariationalResult:
+    def _minimize(self, x):
+        """The minimizer to x and Hess V at its Gauss points."""
         try:
-            return minimize_action(self.model, x, self.nodes)
+            return _solve(self._ev, self._spec, x, _TOL)
         except (NoConvergence, HypothesisViolation) as exc:
             raise GradientProviderFailure(
                 f"gradient sample failed at {np.ravel(x).tolist()}: {exc}") from exc
 
     def momentum(self, x) -> np.ndarray:
-        return self._minimize(x).momentum
+        return self._minimize(x)[0].momentum
 
     # semi-flow integrators expect a gradient callable
     gradient = momentum
@@ -406,9 +421,8 @@ class MomentumProvider:
         (the endpoint gradient) moves as the Schur complement
         K_xx - K_xi K_ii^-1 K_ix of the discrete action Hessian K.
         """
-        free = self._minimize(x).curve.points[1:]
-        ev, spec, n = self._ev, self._spec, self.dim
-        hess = _action_hessian(ev, spec, _action_and_gradient(ev, spec, free)[2])
+        hess = _action_hessian(self._ev, self._spec, self._minimize(x)[1])
+        n = self.dim
         inner = cho_factor(hess[:-n, :-n], check_finite=False)
         out = hess[-n:, -n:] - hess[-n:, :-n] @ cho_solve(
             inner, hess[:-n, -n:], check_finite=False)
@@ -443,49 +457,60 @@ def semi_flow(model: OscillatorModel, x, provider, t_span: float | None = None,
 
     Backward integration (the default) relaxes to the origin and must retrace
     the variational minimizer.  Forward integration generically escapes to
-    infinity in finite time; this is detected via ``escape_radius`` and
-    reported in ``escape_time`` rather than treated as an error.
+    infinity in finite time, reported in ``escape_time`` once |gamma| reaches
+    ``escape_radius``.  The graph p = grad S_0 is invariant under, and
+    forward attracts, the inverted-potential flow gamma' = p/m, p' = grad V,
+    so forward that flow is integrated from p(0) = grad S_0(x): one sample,
+    where the far points would need a degree growing with |gamma|.
     """
     mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
     horizon = t_span if t_span is not None else 10.0 / float(model.omega_min)
 
-    def rhs(_t, y):
+    def sample(y):
         try:
-            return np.asarray(provider.gradient(y), dtype=float) / mass
+            return np.asarray(provider.gradient(y), dtype=float)
         except GradientProviderFailure:
             raise
         except Exception as exc:
             raise GradientProviderFailure(
                 f"gradient provider failed at {y.tolist()}: {exc}") from exc
 
-    events = None
     if forward:
+        ev = _ModelEval(model)
+
+        def rhs(_t, y):
+            return np.concatenate([y[n:] / mass, ev.jet(y[None, :n])[1][0]])
+
         def escaped(_t, y):
-            return float(np.linalg.norm(y)) - escape_radius
+            return float(np.linalg.norm(y[:n])) - escape_radius
         escaped.terminal = True
         escaped.direction = 1.0
-        events = escaped
-    span = (0.0, horizon) if forward else (0.0, -horizon)
-    sol = solve_ivp(rhs, span, x, method="RK45",
-                    rtol=_FLOW_RTOL, atol=_FLOW_ATOL, dense_output=True,
-                    events=events)
+        start = np.concatenate([x, sample(x)])
+        span, events = (0.0, horizon), escaped
+    else:
+        def rhs(_t, y):
+            return sample(y) / mass
+        start, span, events = x, (0.0, -horizon), None
+    sol = solve_ivp(rhs, span, start, method="RK45", rtol=_FLOW_RTOL,
+                    atol=_FLOW_ATOL, dense_output=True, events=events)
     escape_time = None
-    if forward and sol.t_events and len(sol.t_events[0]):
+    if forward and len(sol.t_events[0]):
         escape_time = float(sol.t_events[0][0])
     elif not sol.success:
         raise GradientProviderFailure(
             f"flow integration failed: {sol.message}")
     order = np.argsort(sol.t)
     times = sol.t[order]
-    points = sol.y.T[order]
+    points = sol.y[:n].T[order]
     deviation = None
     if compare_curve is not None:
         # the curve's nodes inside the integrated span (never the origin,
         # which sits at t = -inf), against the flow's dense output there
         node_t = compare_curve.times
         inside = (node_t >= times[0]) & (node_t <= times[-1])
-        gap = sol.sol(node_t[inside]).T - compare_curve.points[inside]
+        gap = sol.sol(node_t[inside])[:n].T - compare_curve.points[inside]
         deviation = float(np.abs(gap).max(initial=0.0))
     return FlowTrajectory(times=times, points=points,
                           deviation_from_minimizer=deviation,
@@ -517,9 +542,8 @@ def numeric_s1(model: OscillatorModel, x, provider: MomentumProvider | None = No
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
     provider = provider or MomentumProvider(model, nodes)
-    curve = minimize_action(model, x, nodes).curve
-    spec = _spectral(nodes)
-    rate, _ = _time_scale(model)
+    curve = minimize_action(model, x, provider.nodes).curve
+    spec, rate = provider._spec, provider._ev.rate
     half_omega = 0.5 * float(sum(model.omega))
     total = 0.0
     for s, w, pt in zip(spec.gauss, spec.weights, spec.interp @ curve.points[1:]):

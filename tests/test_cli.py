@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,19 @@ class TestNumerics:
         assert data["deviation_from_minimizer"] < 1e-6
         assert data["escape_time"] is None
 
+    def test_flow_forward_escapes(self, capsys):
+        """V = x^2/2 + x^4 has grad S_0 = x (1 + 2 x^2)^(1/2), so the flow
+        from 0.8 reaches |x| = 1e3 at asinh(1/(0.8 sqrt 2)) - asinh(1/(1e3
+        sqrt 2))."""
+        code, out, _ = run_cli(capsys, "flow", "--model", "builtin:quartic",
+                               "--point", "0.8", "--forward")
+        assert code == 0
+        data = json.loads(out)
+        exact = math.asinh(1.0 / (0.8 * math.sqrt(2.0))) \
+            - math.asinh(1.0 / (1e3 * math.sqrt(2.0)))
+        assert data["escape_time"] == pytest.approx(exact, abs=1e-6)
+        assert data["deviation_from_minimizer"] is None
+
     def test_resum_builtin(self, capsys):
         code, out, _ = run_cli(capsys, "resum",
                                "--series", "builtin:quartic-ground",
@@ -208,6 +222,22 @@ class TestExitCodes:
     def test_bad_grid_is_2_with_json(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--model", "builtin:quartic")
         assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err.strip())["error"] == "ModelFormatError"
+
+    @pytest.mark.parametrize("command", ["variational", "flow"])
+    def test_mode_beyond_degree_is_2_with_json(self, capsys, tmp_path, command):
+        """omega2 = 1.4142 = 7071/5000 makes s^7071 a linear mode, beyond
+        every allowed degree."""
+        path = tmp_path / "decimal.json"
+        path.write_text(json.dumps({
+            "dim": 2, "mass": "1", "omega": ["1", "1.4142"],
+            "A": {"terms": [{"k": [4, 0], "c": "1/4"}], "trunc": 8},
+        }))
+        code, out, err = run_cli(capsys, command, "--model", str(path),
+                                 "--point", "0.7,0.8", "--nodes", "256")
+        assert code == 2
+        assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err.strip())["error"] == "ModelFormatError"
 

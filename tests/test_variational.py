@@ -164,9 +164,9 @@ class TestMinimizer:
             _newton(ev, spec, free, tol=0.0, max_iter=2)
 
     @pytest.mark.parametrize("model, x, nodes", [
-        (convex_2d(Fraction(101, 100)), [0.7, 0.8], NODES),  # q = 100
+        (quartic("1"), [20.0], NODES),  # needs a degree growing like |x|^(1/2)
         (quartic(), [0.5], 4),
-    ], ids=["near-resonant", "degree-4"])
+    ], ids=["far-target", "degree-4"])
     def test_unresolved_curve_raises(self, model, x, nodes):
         """A converged curve whose last Chebyshev coefficients stay above
         1e-6 of the largest is rejected, not reported."""
@@ -174,6 +174,28 @@ class TestMinimizer:
             minimize_action(model, x, nodes)
         assert err.value.payload["nodes"] == nodes
         assert err.value.payload["tail"] > 1e-6
+
+    @pytest.mark.parametrize("omega2, nodes, exponent", [
+        (Fraction(101, 100), NODES, 101),  # q = 100
+        (Fraction("1.4142"), 256, 7071),  # q = 5000
+    ], ids=["near-resonant", "decimal"])
+    def test_mode_beyond_degree_is_a_format_error(self, monkeypatch,
+                                                  omega2, nodes, exponent):
+        """A linear mode s^(q omega_i / omega_min) of higher degree than the
+        curve is rejected before any Newton step."""
+        monkeypatch.setattr(variational, "_newton", None)
+        model = convex_2d(omega2)
+        with pytest.raises(ModelFormatError) as err:
+            minimize_action(model, [0.7, 0.8], nodes)
+        assert err.value.payload == {"exponent": exponent, "nodes": nodes}
+        with pytest.raises(ModelFormatError):
+            MomentumProvider(model, nodes)
+
+    def test_near_resonant_resolves_at_its_exponent(self):
+        model = convex_2d(Fraction(101, 100))
+        low = minimize_action(model, [0.7, 0.8], 101).action
+        assert low == pytest.approx(
+            minimize_action(model, [0.7, 0.8], 256).action, rel=1e-11)
 
     def test_smallest_degree_is_exact_for_harmonic(self):
         model = OscillatorModel(1, [Fraction(1)], PolySeries.zero(1, 6))
@@ -353,13 +375,16 @@ class TestSemiFlow:
         assert decay_bound_satisfied(traj, 1.0, 0.1)
 
     def test_forward_flow_escapes(self):
+        """The quartic with g = 1/2 has grad S_0 = x (1 + x^2)^(1/2), so the
+        flow from 1 reaches |x| = R at asinh(1) - asinh(1/R), beyond the
+        range any degree resolves for R = 1e5."""
         model = quartic()
-        # the curve to |x| = 50 needs degree 64 to pass the tail check
-        provider = MomentumProvider(model, 64)
+        provider = MomentumProvider(model)
         traj = semi_flow(model, [1.0], provider, forward=True, t_span=5.0,
-                         escape_radius=50.0)
-        assert traj.escape_time is not None
-        assert 0.0 < traj.escape_time < 2.0
+                         escape_radius=1e5)
+        exact = math.asinh(1.0) - math.asinh(1e-5)
+        assert traj.escape_time == pytest.approx(exact, abs=1e-7)
+        assert traj.points[-1, 0] == pytest.approx(1e5, rel=1e-9)
 
     def test_decay_bound_rejects_slow_decay(self):
         ts = np.linspace(-5.0, 0.0, 50)
@@ -386,13 +411,13 @@ class TestNumericS1:
         """The curve itself plus one per Hessian at its 2N Gauss-Legendre
         points."""
         calls = []
-        real = variational.minimize_action
+        real = variational._solve
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(variational, "minimize_action", counted)
+        monkeypatch.setattr(variational, "_solve", counted)
         numeric_s1(quartic(), [0.9])
         assert len(calls) == 2 * NODES + 1
 
