@@ -62,11 +62,11 @@ _TOL = 1e-10  # Newton stops at |interior gradient| <= _TOL (1 + |action|)
 
 
 def _time_scale(model: OscillatorModel):
-    """c = omega_min / q and the integer exponents q omega_i / omega_min (as
-    floats: no int64 bound), so exp(omega_i t) = s^(exponent_i), s = exp(c t)."""
+    """c = omega_min / q and the integer exponents q omega_i / omega_min,
+    so that exp(omega_i t) = s^(exponent_i) for s = exp(c t)."""
     ratios = [w / model.omega_min for w in model.omega]
     q = math.lcm(*(r.denominator for r in ratios))
-    return float(model.omega_min / q), np.array([float(r * q) for r in ratios])
+    return float(model.omega_min / q), np.array([int(r * q) for r in ratios])
 
 
 # -- the jet of V ------------------------------------------------------------
@@ -171,13 +171,12 @@ def _discretize(model: OscillatorModel, nodes: int):
     Newton work (omega = (1, 1.4142) has q = 5000 and needs degree 7071)."""
     spec = _spectral(nodes)
     ev = _ModelEval(model)
-    top = float(ev.powers.max())
+    top = int(ev.powers.max())
     if top > nodes:
         raise ModelFormatError(
-            f"the frequency ratios make s^{top:.0f} a linear mode of the "
-            f"curve, beyond its degree {nodes}: the degree must be at least "
-            f"{top:.0f} (and at most {_MAX_NODES})",
-            exponent=int(top), nodes=nodes)
+            f"the frequency ratios make s^{top} a linear mode of the curve, "
+            f"beyond its degree {nodes}: the degree must be at least {top} "
+            f"(and at most {_MAX_NODES})", exponent=top, nodes=nodes)
     return ev, spec
 
 

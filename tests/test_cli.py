@@ -226,12 +226,14 @@ class TestExitCodes:
         assert json.loads(err.strip())["error"] == "ModelFormatError"
 
     @pytest.mark.parametrize("command", ["variational", "flow"])
-    def test_mode_beyond_degree_is_2_with_json(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("omega2", ["1.4142", "1.41421356237309504881"])
+    def test_mode_beyond_degree_is_2_with_json(self, capsys, tmp_path,
+                                               command, omega2):
         """omega2 = 1.4142 = 7071/5000 makes s^7071 a linear mode, beyond
-        every allowed degree."""
+        every allowed degree; twenty decimals take the exponent past int64."""
         path = tmp_path / "decimal.json"
         path.write_text(json.dumps({
-            "dim": 2, "mass": "1", "omega": ["1", "1.4142"],
+            "dim": 2, "mass": "1", "omega": ["1", omega2],
             "A": {"terms": [{"k": [4, 0], "c": "1/4"}], "trunc": 8},
         }))
         code, out, err = run_cli(capsys, command, "--model", str(path),
