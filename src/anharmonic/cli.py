@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .errors import EngineError, ModelFormatError, UnsupportedKappa
+from .errors import (DomainExceeded, EngineError, ModelFormatError,
+                     UnsupportedKappa)
 from .hjformal import solve_hj_formal, sternberg_linearize, sternberg_residual
 from .model import (
     BUILTIN_KAPPA,
@@ -198,8 +199,13 @@ def _cmd_variational(args) -> int:
 
 def _scan_closed(model, args):
     closed = _closed_model(model)
+    if not 0 < args.hbar < math.inf:
+        raise ModelFormatError(f"--hbar must be finite and > 0, got {args.hbar}")
     xs = _parse_grid(args.grid)
-    cols = wavefunction_factors(closed, args.n, args.hbar, xs)
+    try:
+        cols = wavefunction_factors(closed, args.n, args.hbar, xs)
+    except OverflowError as exc:
+        raise DomainExceeded(f"the closed forms overflow a double: {exc}") from exc
     header = ("x", "S0", "S1", "S2", "Q", "phi0", "u1", "u2", "psi")
     rows = zip(*(cols[h] for h in header))
     _emit_csv(header, rows, args.output)

@@ -4,18 +4,17 @@ For V = (1/2) m w^2 x^2 + g x^(2 kappa), the leading action S_0 and (for
 kappa = 2) the corrections S_1, S_2 and the excited-state factors
 phi_0, u_1, u_2 have closed forms in the variable
 
-    u = 2 g x^2 / (m w^2),        R = sqrt(1 + u).
+    u = 2 g x^(2 kappa - 2) / (m w^2),        R = sqrt(1 + u).
 
-The printed rational-in-R formulas suffer catastrophic cancellation near the
-origin (S_2 carries 1/x^2, u_2 carries 1/x^4), so each evaluator switches to
-an exact rational Laurent/Taylor expansion in u for small u.  The expansion
-coefficients depend only on the excitation number n and are computed exactly
-with Fraction arithmetic; only the evaluation is double precision.
-
-One transcription note: the overall prefactor of the printed u_2 formula is
-dimensionally inconsistent with its own Laurent expansion and harmonic
-limit; the mass power used here (1/(48 m^2 w^6 x^4 Q^5)) is the one fixed by
-those two independent checks.
+With g x^2 = u m w^2 / 2, each of S_2, u_1 and u_2 is one entry of an exact
+table (``_form``), F = scale (g / m^2 w^3)^a (A(u) + R B(u)) / (u^a R^b) with
+short rational lists A and B.  Large u evaluates this form directly.  Near
+the origin it cancels catastrophically (S_2 carries 1/x^2, u_2 carries
+1/x^4), so for u <= 1/4 the evaluator sums the exact Laurent series of F,
+built once per (factor, n) with Fraction arithmetic.
+``tests/test_closedform.py::TestExactOracle`` checks these series coefficient
+by coefficient against the exact transport hierarchy; that also pins the
+prefactor of u_2, whose printed mass power is dimensionally inconsistent.
 """
 
 from __future__ import annotations
@@ -27,10 +26,12 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .errors import DomainExceeded, UnsupportedKappa, UnsupportedOrder
+from .errors import (DomainExceeded, ModelFormatError, UnsupportedKappa,
+                     UnsupportedOrder)
 
 _SERIES_LEN = 24
 _U_SWITCH = 0.25
+_U_MAX = 1e60  # u_2's numerator grows like u^(9/2) and must stay finite
 
 
 @dataclass(frozen=True)
@@ -42,99 +43,101 @@ class Kappa1DModel:
     kappa: int = 2
 
     def __post_init__(self):
-        if self.mass <= 0 or self.omega0 <= 0 or self.g <= 0:
-            raise ValueError("mass, omega0 and g must be positive")
+        if not (self.mass > 0 and self.omega0 > 0 and self.g > 0):
+            raise ModelFormatError(
+                "the closed forms need positive mass, omega0 and g",
+                mass=self.mass, omega0=self.omega0, g=self.g)
         if self.kappa not in (2, 3, 4, 5):
             raise UnsupportedKappa(f"kappa must be in {{2,3,4,5}}, got {self.kappa}")
 
     def u_of(self, x: float) -> float:
         p = self.kappa - 1
-        return 2.0 * self.g * x ** (2 * p) / (self.mass * self.omega0 ** 2)
+        try:
+            u = 2.0 * self.g * x ** (2 * p) / (self.mass * self.omega0 ** 2)
+        except OverflowError:
+            u = math.inf
+        if u <= _U_MAX:  # false for NaN as well
+            return u
+        raise DomainExceeded(f"u = 2 g x^{2 * p} / (m w^2) exceeds {_U_MAX:g} "
+                             f"at x = {x}", x=x, bound=_U_MAX)
 
     def potential(self, x: float) -> float:
-        return (0.5 * self.mass * self.omega0 ** 2 * x * x
-                + self.g * x ** (2 * self.kappa))
+        return 0.5 * self.mass * self.omega0 ** 2 * x * x * (1.0 + self.u_of(x))
 
 
-# -- exact series data ------------------------------------------------------
-
-def binomial_series(alpha: Fraction, length: int = _SERIES_LEN) -> list[Fraction]:
-    """Coefficients of (1 + u)^alpha through u^(length-1), exactly."""
-    alpha = Fraction(alpha)
-    out = [Fraction(1)]
-    c = Fraction(1)
-    for k in range(1, length):
-        c = c * (alpha - (k - 1)) / k
-        out.append(c)
-    return out
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = min(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a[:n]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[:n - i]):
-            out[i + j] += ai * bj
-    return out
-
+# -- the kappa = 2 coefficient table -----------------------------------------
 
 @lru_cache(maxsize=None)
-def s2_u_series() -> tuple[Fraction, ...]:
-    """S_2 = (g / 3 m^2 w^3) sum_j c_j u^j; returns the c_j exactly.
+def _form(factor: str, n: int) -> tuple:
+    """Table entry (scale, a, b, A, B, W, series) of the kappa = 2 factor F
+    = S_2, u_1 or u_2 at level n: ``series`` holds the first _SERIES_LEN
+    coefficients of u^a F / (scale (g / m^2 w^3)^a) = A (1+u)^(-b/2)
+    + B (1+u)^((1-b)/2) exactly; scale, A, B and W are floats."""
+    n = Fraction(n)
+    if factor == "S_2":
+        scale, a, b, A, B = Fraction(1, 3), 1, 3, [3, 10, Fraction(9, 2)], [-3]
+    elif factor == "u_1":
+        c = (9 * n + 5 * n * n) / 2
+        scale, a, b = Fraction(1, 2), 1, 2
+        A, B = [2 * n, c, c], [-(n + n * n), -3 * (n + n * n)]
+    else:
+        p1 = [3 * (11 + 5 * n + 4 * n ** 2),
+              Fraction(3, 2) * (35 + 28 * n + 32 * n ** 2 + 5 * n ** 3),
+              Fraction(1, 2) * (-257 - 42 * n + 104 * n ** 2 + 75 * n ** 3),
+              Fraction(7, 2) * (-59 - 24 * n + 8 * n ** 2 + 15 * n ** 3),
+              Fraction(3, 2) * (-59 - 24 * n + 8 * n ** 2 + 15 * n ** 3)]
+        p2 = [3 * (16 + 21 * n + 2 * n ** 2 + n ** 3),
+              3 * (12 + 37 * n + 24 * n ** 2 + 7 * n ** 3),
+              Fraction(1, 4) * (-1211 - 351 * n + 380 * n ** 2 + 282 * n ** 3),
+              Fraction(1, 2) * (-1355 - 837 * n + 8 * n ** 2 + 156 * n ** 3),
+              Fraction(1, 4) * (-1355 - 891 * n - 100 * n ** 2 + 102 * n ** 3)]
+        scale, a, b, A, B = n / 12, 2, 5, [-2 * c for c in p1], p2
+    series = [Fraction(0)] * _SERIES_LEN
+    for poly, alpha in ((A, Fraction(-b, 2)), (B, Fraction(1 - b, 2))):
+        binom = Fraction(1)  # coefficient of u^k in (1 + u)^alpha
+        for k in range(_SERIES_LEN):
+            for i, c in enumerate(poly[:_SERIES_LEN - k]):
+                series[k + i] += c * binom
+            binom = binom * (alpha - k) / (k + 1)
+    return (float(scale), a, b, tuple(map(float, A)), tuple(map(float, B)),
+            tuple(map(float, series)), tuple(series))
 
-    Derived from the closed form {3 m^2 w^2 (1-R) + 20 g m x^2
-    + 18 g^2 x^4 / w^2} / {6 x^2 (m w)^3 R^3} rewritten in u.
-    """
-    R = binomial_series(Fraction(1, 2))
-    P = [Fraction(0)] * _SERIES_LEN
-    for j in range(_SERIES_LEN):
-        P[j] = -3 * R[j]
-    P[0] += 3
-    P[1] += 10
-    P[2] += Fraction(9, 2)
-    assert P[0] == 0
-    shifted = P[1:] + [Fraction(0)]
-    return tuple(_series_mul(shifted, binomial_series(Fraction(-3, 2))))
+
+def _horner(coeffs, u: float) -> float:
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * u + c
+    return total
 
 
-@lru_cache(maxsize=None)
-def u1_u_series(n: int) -> tuple[Fraction, ...]:
-    """u_1 = (g / 2 m^2 w^3) [T_0/u + sum_j T_{j+1} u^j]; returns T exactly."""
-    R = binomial_series(Fraction(1, 2))
-    N = [Fraction(0)] * _SERIES_LEN
-    nn = Fraction(n)
-    for j in range(_SERIES_LEN):
-        # -(1 + 3u) R (n + n^2)
-        N[j] -= R[j] * (nn + nn * nn)
-        if j >= 1:
-            N[j] -= 3 * R[j - 1] * (nn + nn * nn)
-    N[0] += 2 * nn
-    N[1] += Fraction(1, 2) * (9 * nn + 5 * nn * nn)
-    N[2] += Fraction(1, 4) * (18 * nn + 10 * nn * nn)
-    return tuple(_series_mul(N, binomial_series(Fraction(-1))))
-
-
-@lru_cache(maxsize=None)
-def u2_u_series(n: int) -> tuple[Fraction, ...]:
-    """u_2 = (n g^2 / 12 m^4 w^6) [W_0/u^2 + W_1/u + sum_j W_{j+2} u^j]."""
-    nn = Fraction(n)
-    p1 = [3 * (11 + 5 * nn + 4 * nn ** 2),
-          Fraction(3, 2) * (35 + 28 * nn + 32 * nn ** 2 + 5 * nn ** 3),
-          Fraction(1, 2) * (-257 - 42 * nn + 104 * nn ** 2 + 75 * nn ** 3),
-          Fraction(28, 8) * (-59 - 24 * nn + 8 * nn ** 2 + 15 * nn ** 3),
-          Fraction(24, 16) * (-59 - 24 * nn + 8 * nn ** 2 + 15 * nn ** 3)]
-    p2 = [3 * (16 + 21 * nn + 2 * nn ** 2 + nn ** 3),
-          3 * (12 + 37 * nn + 24 * nn ** 2 + 7 * nn ** 3),
-          Fraction(1, 4) * (-1211 - 351 * nn + 380 * nn ** 2 + 282 * nn ** 3),
-          Fraction(1, 2) * (-1355 - 837 * nn + 8 * nn ** 2 + 156 * nn ** 3),
-          Fraction(1, 4) * (-1355 - 891 * nn - 100 * nn ** 2 + 102 * nn ** 3)]
-    p1 += [Fraction(0)] * (_SERIES_LEN - len(p1))
-    p2 += [Fraction(0)] * (_SERIES_LEN - len(p2))
-    R = binomial_series(Fraction(1, 2))
-    braces = [-2 * a + b for a, b in zip(p1, _series_mul(R, p2))]
-    return tuple(_series_mul(braces, binomial_series(Fraction(-5, 2))))
+def _closed(model: Kappa1DModel, factor: str, n: int, x: float,
+            power: int = 0) -> float:
+    """The table factor F at x, times (x / (1+R))^power.  For u <= _U_SWITCH
+    each Laurent head of F (x / (1+R))^power, k = a - j, is formed as
+    scale (g / m^2 w^3)^j W_j (x / (1+R))^(power - 2k) / (2 m w (1+R)^2)^k,
+    with u^-k = (m w^2 / 2 g x^2)^k cancelled by hand: finite at x = 0 when
+    power >= 2k, and free of (1+R)^power and of powers of 1/g.  A head that
+    overflows near x = 0 gives a signed infinity."""
+    _require_quartic(model, factor)
+    scale, a, b, A, B, W, _ = _form(factor, n)
+    m, w = model.mass, model.omega0
+    q = model.g / (m * m * w ** 3)
+    u = model.u_of(x)
+    r = math.sqrt(1.0 + u)
+    y = x / (1.0 + r)
+    if u > _U_SWITCH:
+        return (scale * q ** a * (_horner(A, u) + r * _horner(B, u))
+                / (u ** a * r ** b) * y ** power)
+    total = scale * q ** a * _horner(W[a:], u) * y ** power
+    for j in range(a):
+        if W[j]:
+            k = a - j
+            try:
+                total += (scale * q ** j * W[j] * y ** (power - 2 * k)
+                          / (2.0 * m * w * (1.0 + r) ** 2) ** k)
+            except (OverflowError, ZeroDivisionError):
+                return math.copysign(math.inf, W[j] * scale)
+    return total
 
 
 # -- evaluators -------------------------------------------------------------
@@ -173,29 +176,13 @@ def s1_closed(model: Kappa1DModel, x: float) -> float:
     return 0.5 * (half_log_r + math.log1p(0.5 * r_minus_1))
 
 
-def _horner(coeffs, u: float, start: int = 0) -> float:
-    total = 0.0
-    for c in reversed(coeffs[start:]):
-        total = total * u + float(c)
-    return total
-
-
 def s2_closed(model: Kappa1DModel, x: float) -> float:
     """Second correction (kappa = 2), normalized to vanish as |x| -> inf.
 
     Its value at the origin is 17 g / (6 m^2 w^3), not zero; the formal
     engine's normalization S_2(0) = 0 differs by exactly that constant.
     """
-    _require_quartic(model, "S_2")
-    m, w, g = model.mass, model.omega0, model.g
-    u = model.u_of(x)
-    if u <= _U_SWITCH:
-        return g / (3.0 * m * m * w ** 3) * _horner(s2_u_series(), u)
-    r = math.sqrt(1.0 + u)
-    num = 3.0 * m * m * w * w * (1.0 - r) + 20.0 * g * m * x * x \
-        + 18.0 * g * g * x ** 4 / (w * w)
-    den = 6.0 * x * x * (m * w) ** 3 * (1.0 + u) ** 1.5
-    return num / den
+    return _closed(model, "S_2", 0, x)
 
 
 def phi0_closed(model: Kappa1DModel, n: int, x: float) -> float:
@@ -216,57 +203,13 @@ def u1_closed(model: Kappa1DModel, n: int, x: float) -> float:
     Carries a -n(n-1)/(4 m w x^2) singularity at the origin for n >= 2; the
     product u_1 phi_0 stays smooth (see evaluate_wavefunction).
     """
-    _require_quartic(model, "u_1")
-    m, w, g = model.mass, model.omega0, model.g
-    u = model.u_of(x)
-    pref = g / (2.0 * m * m * w ** 3)
-    T = u1_u_series(n)
-    if u <= _U_SWITCH:
-        if T[0] == 0:
-            head = 0.0
-        elif u == 0.0:
-            return math.inf if T[0] > 0 else -math.inf
-        else:
-            head = float(T[0]) / u
-        return pref * (head + _horner(T, u, start=1))
-    q = m * w * math.sqrt(1.0 + u)
-    num = (2.0 * m * m * w ** 4 * n
-           + g * m * w * w * x * x * (9 * n + 5 * n * n)
-           + g * g * x ** 4 * (18 * n + 10 * n * n)
-           - (m * w ** 3 + 6.0 * g * w * x * x) * q * (n + n * n))
-    return num / (4.0 * m * w ** 3 * (x * q) ** 2)
+    return _closed(model, "u_1", n, x)
 
 
 def u2_closed(model: Kappa1DModel, n: int, x: float) -> float:
     """Variation-of-parameters factor u_2 (kappa = 2); singular like 1/x^4
     at the origin for n >= 4."""
-    _require_quartic(model, "u_2")
-    m, w, g = model.mass, model.omega0, model.g
-    u = model.u_of(x)
-    pref = n * g * g / (12.0 * m ** 4 * w ** 6)
-    W = u2_u_series(n)
-    if u <= _U_SWITCH:
-        head = 0.0
-        for power, coeff in ((2, W[0]), (1, W[1])):
-            if coeff == 0:
-                continue
-            if u == 0.0:
-                return math.copysign(math.inf, float(coeff) * pref)
-            head += float(coeff) / u ** power
-        return pref * (head + _horner(W, u, start=2))
-    q = m * w * math.sqrt(1.0 + u)
-    x2, x4, x6, x8 = x * x, x ** 4, x ** 6, x ** 8
-    p1 = (3 * m ** 4 * w ** 8 * (11 + 5 * n + 4 * n ** 2)
-          + 3 * g * m ** 3 * w ** 6 * x2 * (35 + 28 * n + 32 * n ** 2 + 5 * n ** 3)
-          + 2 * g * g * m * m * w ** 4 * x4 * (-257 - 42 * n + 104 * n ** 2 + 75 * n ** 3)
-          + 28 * g ** 3 * m * w * w * x6 * (-59 - 24 * n + 8 * n ** 2 + 15 * n ** 3)
-          + 24 * g ** 4 * x8 * (-59 - 24 * n + 8 * n ** 2 + 15 * n ** 3))
-    p2 = (3 * m ** 4 * w ** 8 * (16 + 21 * n + 2 * n ** 2 + n ** 3)
-          + 6 * g * m ** 3 * w ** 6 * x2 * (12 + 37 * n + 24 * n ** 2 + 7 * n ** 3)
-          + g * g * m * m * w ** 4 * x4 * (-1211 - 351 * n + 380 * n ** 2 + 282 * n ** 3)
-          + 4 * g ** 3 * m * w * w * x6 * (-1355 - 837 * n + 8 * n ** 2 + 156 * n ** 3)
-          + 4 * g ** 4 * x8 * (-1355 - 891 * n - 100 * n ** 2 + 102 * n ** 3))
-    return n * (-2.0 * m * w * p1 + q * p2) / (48.0 * m * m * w ** 6 * x4 * q ** 5)
+    return _closed(model, "u_2", n, x)
 
 
 def sternberg_1d(model: Kappa1DModel, x: float) -> float:
@@ -294,41 +237,16 @@ def sternberg_1d_inverse(model: Kappa1DModel, y: float) -> float:
 
 def _phi_factor(model: Kappa1DModel, n: int, hbar: float, order: int,
                 x: float) -> float:
-    """phi_0 + hbar phi_1 + (hbar^2/2) phi_2 with smooth near-origin forms."""
+    """phi_0 + hbar phi_1 + (hbar^2/2) phi_2, phi_k = u_k phi_0, with the
+    Laurent heads of u_k folded into phi_0 so it stays smooth across x = 0."""
     if n == 0:
         return 1.0
-    m, w, g = model.mass, model.omega0, model.g
-    phi0 = phi0_closed(model, n, x)
-    total = phi0
-    if order == 0:
-        return total
-    u = model.u_of(x)
-    r = math.sqrt(1.0 + u)
-    # x^(n-j) / (1+R)^n for the Laurent heads, smooth across x = 0
-    def head_piece(j: int) -> float:
-        return x ** (n - j) / (1.0 + r) ** n
-    u_to_x2 = m * w * w / (2.0 * g)  # 1/u = this / x^2
-    if u <= _U_SWITCH:
-        T = u1_u_series(n)
-        # T[0] carries n(n-1): skip the x^(n-2) head when it vanishes so
-        # x = 0 with n = 1 never evaluates a negative power
-        head1 = 0.0 if T[0] == 0 else float(T[0]) * u_to_x2 * head_piece(2)
-        phi1 = g / (2.0 * m * m * w ** 3) * (
-            head1 + _horner(T, u, start=1) * phi0)
-    else:
-        phi1 = u1_closed(model, n, x) * phi0
-    total += hbar * phi1
-    if order == 1:
-        return total
-    if u <= _U_SWITCH:
-        W = u2_u_series(n)
-        pref = n * g * g / (12.0 * m ** 4 * w ** 6)
-        head4 = 0.0 if W[0] == 0 else float(W[0]) * u_to_x2 ** 2 * head_piece(4)
-        head2 = 0.0 if W[1] == 0 else float(W[1]) * u_to_x2 * head_piece(2)
-        phi2 = pref * (head4 + head2 + _horner(W, u, start=2) * phi0)
-    else:
-        phi2 = u2_closed(model, n, x) * phi0
-    return total + 0.5 * hbar * hbar * phi2
+    total = phi0_closed(model, n, x)
+    if order >= 1:
+        total += hbar * _closed(model, "u_1", n, x, power=n)
+    if order >= 2:
+        total += 0.5 * hbar * hbar * _closed(model, "u_2", n, x, power=n)
+    return total
 
 
 def evaluate_wavefunction(model: Kappa1DModel, hbar: float, n: int,
@@ -349,7 +267,10 @@ def evaluate_wavefunction(model: Kappa1DModel, hbar: float, n: int,
         exponent -= s1_closed(model, x)
     if order >= 2:
         exponent -= 0.5 * hbar * s2_closed(model, x)
-    return _phi_factor(model, n, hbar, order, x) * math.exp(exponent)
+    psi = _phi_factor(model, n, hbar, order, x) * math.exp(exponent)
+    if psi != psi:  # hbar^2 phi_2 overflowed where exp(exponent) underflowed
+        raise DomainExceeded(f"psi overflows at hbar = {hbar}, x = {x}", x=x)
+    return psi
 
 
 def wavefunction_factors(model: Kappa1DModel, n: int, hbar: float,

@@ -243,6 +243,43 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err.strip())["error"] == "ModelFormatError"
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--model", "NEGATIVE"), "ModelFormatError"),
+        (("--model", "NEGATIVE", "--engine", "auto"), "ModelFormatError"),
+        (("--hbar", "0"), "ModelFormatError"),
+        (("--hbar", "nan"), "ModelFormatError"),
+        (("--hbar", "-1"), "ModelFormatError"),
+        (("--grid=1e200:1e200:1",), "DomainExceeded"),
+        (("--model", "builtin:sectic", "--grid=1e100:1e100:1"), "DomainExceeded"),
+        (("--model", "WEAK", "--n", "400", "--grid=1e10:1e10:1"), "DomainExceeded"),
+        (("--n", "2", "--hbar", "1e200"), "DomainExceeded"),
+        (("--n", "100000", "--grid=0.2:2:2"), None),
+    ], ids=["negative-g-closed", "negative-g-auto", "hbar-0", "hbar-nan",
+            "hbar-negative", "overflow-u", "overflow-V", "overflow-phi0",
+            "overflow-psi", "n-100000"])
+    def test_closed_scan_inputs(self, capsys, tmp_path, argv, error):
+        """A bad coupling, hbar or grid exits 2 with one JSON line; a high
+        level stays finite.  The case's options override the defaults."""
+        models = {}
+        for name, coupling in (("NEGATIVE", "-1"), ("WEAK", "1/100")):
+            models[name] = tmp_path / f"{name}.json"
+            models[name].write_text(json.dumps({
+                "dim": 1, "mass": "1", "omega": ["1"],
+                "A": {"terms": [{"k": [4], "c": coupling}], "trunc": 8}}))
+        code, out, err = run_cli(
+            capsys, "scan", "--model", "builtin:quartic", "--engine", "closed",
+            "--grid=0:1:2", *(str(models.get(a, a)) for a in argv))
+        if error is None:
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            assert len(rows) == 2
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
+        else:
+            assert code == 2
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert json.loads(err)["error"] == error
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_action_is_2_with_json(self, capsys):
         code, out, err = run_cli(capsys, "variational",

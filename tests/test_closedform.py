@@ -7,6 +7,7 @@ import pytest
 
 from anharmonic.closedform import (
     Kappa1DModel,
+    _form,
     evaluate_wavefunction,
     phi0_closed,
     q_closed,
@@ -128,6 +129,76 @@ class TestU1U2:
         for n in range(1, 5):
             excited = excited_expansion(ground, [n], 2)
             assert excited.gaps[1] == Fraction(3, 2) * g * n * (n + 1)
+
+
+def t_mul(a, b):
+    """Truncated product of two power series in t, as coefficient lists."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1))
+            for k in range(min(len(a), len(b)))]
+
+
+class TestExactOracle:
+    """The table's exact small-u series against the transport hierarchy at
+    m = w = 1, g = 1/2, where u = x^2: every coefficient, exactly."""
+
+    @pytest.fixture(scope="class")
+    def ground(self):
+        return ground_expansion(
+            solve_hj_formal(kappa_model(2, g=Fraction(1, 2)), 44), 2)
+
+    def test_s2_series_is_transport_s2(self, ground):
+        """S_2 = (g / 3 m^2 w^3) W(u) / u = W(x^2) / (6 x^2); the closed form
+        carries 17 g / (6 m^2 w^3) at the origin, transport 0."""
+        series = _form("S_2", 0)[-1]
+        s2 = ground.corrections[2]
+        assert series[0] == 0
+        assert series[1] / 6 == Fraction(17, 12)
+        assert s2.coefficient((0,)) == 0
+        assert s2.trunc // 2 + 1 < len(series)
+        for d in range(2, s2.trunc + 1):
+            expect = series[d // 2 + 1] / 6 if d % 2 == 0 else 0
+            assert s2.coefficient((d,)) == expect, d
+
+    @pytest.mark.parametrize("n, c1, c2", [
+        (1, 0, 0),
+        (2, Fraction(1, 4), -1),
+        (3, Fraction(9, 8), Fraction(-27, 4)),
+        (4, 3, Fraction(-363, 16)),
+        (5, Fraction(25, 4), Fraction(-425, 8)),
+    ])
+    def test_phi_series_are_transport_phi(self, ground, n, c1, c2):
+        """2^n phi_k (closed) equals transport's T_k up to the hbar
+        normalization 1 + c1 hbar + c2 hbar^2 / 2 of the level (transport
+        puts no x^n term in T_1, T_2): T_0, T_1 + c1 T_0 and
+        T_2 + 2 c1 T_1 + c2 T_0."""
+        length = len(_form("u_1", n)[-1])
+        half = [Fraction(1)]  # (1 + t)^(1/2)
+        for k in range(1, length + 1):
+            half.append(half[-1] * (Fraction(1, 2) - k + 1) / k)
+        yn = [Fraction(1)] + [Fraction(0)] * (length - 1)
+        for _ in range(n):  # (2 / (1 + R))^n, 2 / (1 + R) = 2 (R - 1) / t
+            yn = t_mul(yn, [2 * c for c in half[1:]])
+        # 2^n phi_0 = x^n yn, 2^n phi_1 = (g / 2) x^(n-2) W_1 yn and
+        # 2^n phi_2 = (n g^2 / 12) x^(n-4) W_2 yn, each in t = x^2
+        phi = [(n, yn),
+               (n - 2, [c / 4 for c in t_mul(_form("u_1", n)[-1], yn)]),
+               (n - 4, [c * n / 48 for c in t_mul(_form("u_2", n)[-1], yn)])]
+
+        def closed(k, d):
+            offset, coeffs = phi[k]
+            j, odd = divmod(d - offset, 2)
+            assert j < length
+            return 0 if odd or j < 0 else coeffs[j]
+
+        t0, t1, t2 = excited_expansion(ground, [n], 2).corrections
+        for d in range(t0.trunc + 1):
+            assert closed(0, d) == t0.coefficient((d,)), d
+        for d in range(t1.trunc + 1):
+            assert closed(1, d) == t1.coefficient((d,)) + c1 * closed(0, d), d
+        for d in range(t2.trunc + 1):
+            assert closed(2, d) == (t2.coefficient((d,))
+                                    + 2 * c1 * t1.coefficient((d,))
+                                    + c2 * closed(0, d)), d
 
 
 class TestSternberg1D:

@@ -1,13 +1,13 @@
-"""Every module-level import in the package is used (no linter is installed,
-so this is the guard)."""
+"""Every module-level import in the package is used, and every module-level
+private helper is referenced (no linter is installed, so this is the guard)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "anharmonic").glob("*.py")
-                 if p.name != "__init__.py")  # __init__ re-exports by design
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "anharmonic").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]  # __init__ re-exports by design
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +33,42 @@ def test_guard_sees_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names with one leading underscore that no module of
+    ``sources`` (name -> text) references beyond their definition."""
+    defined, used = [], set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{module}: {name} (line {line})" for module, name, line in defined
+            if name not in used]
+
+
+def test_guard_sees_dead_private_names():
+    sources = {"a": "_X = 1\n_Y = 2\ndef _f():\n    return _Y\n"
+                    "def _g():\n    pass\n__all__ = []\n",
+               "b": "from a import _g\n"}
+    assert dead_private_names(sources) == ["a: _X (line 1)", "a: _f (line 3)"]
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_names(
+        {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
