@@ -1,7 +1,9 @@
 """Command-line front end for the oscillator-expansion engines.
 
 Exit codes: 0 success, 1 usage error, 2 engine error (a machine-readable
-JSON error object is printed to stderr).
+JSON error object is printed to stderr).  Exit 2 also covers an option
+value that is malformed or out of range, rejected while the arguments are
+parsed, and an ``--output`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -9,10 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
-from fractions import Fraction
 from itertools import product
 
 from .errors import (DomainExceeded, EngineError, ModelFormatError,
@@ -49,41 +51,61 @@ from .variational import (
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; the contract wants 1."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+    def exit(self, status=0, message=None):
+        super().exit(min(status, 1), message)
 
 
-def _load_model(spec: str) -> OscillatorModel:
+# -- option converters ----------------------------------------------------------
+# Each ``type=`` converter raises ModelFormatError, never ValueError: argparse
+# would turn a ValueError into a usage error (exit 1), while a bad value
+# must exit 2 with one JSON line like every other bad input.  ``main`` parses
+# inside its EngineError handler for this.
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except ValueError as exc:  # undecodable text as well as bad JSON
+        raise ModelFormatError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+
+
+def _model(spec: str) -> OscillatorModel:
     if spec.startswith("builtin:"):
         return builtin_model(spec.split(":", 1)[1])
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file {spec!r} is not valid JSON: {exc}") from exc
-    return OscillatorModel.from_json(data)
+    return OscillatorModel.from_json(_read_json(spec, "model"))
 
 
-def _parse_list(text: str, kind=float) -> list:
-    """'a,b,...' -> list of ``kind`` values."""
-    try:
-        return [kind(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ModelFormatError(f"bad list {text!r}: {exc}") from exc
+def _finite(text: str, low: float = -math.inf) -> float:
+    value = float(text)
+    if not low < value < math.inf:  # false for NaN as well
+        raise ValueError(f"{value} is out of range")
+    return value
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse(option: str, form: str, sep: str | None, *kinds):
+    """The converter of ``option``: one value of ``kinds[0]`` if ``sep`` is
+    None, else ``sep``-separated values, one per entry of ``kinds`` or, for
+    a single kind, any number."""
+    def convert(text: str):
+        parts = [text] if sep is None else text.split(sep)
+        types = kinds * len(parts) if len(kinds) == 1 else kinds
+        try:
+            if len(parts) != len(types):
+                raise ValueError(f"{len(parts)} fields")
+            values = [kind(part) for kind, part in zip(types, parts)]
+        except ValueError as exc:
+            raise ModelFormatError(
+                f"bad {option} {text!r}, expected {form}: {exc}") from exc
+        return values[0] if sep is None else values
+    return convert
+
+
+def _grid(text: str) -> list[float]:
     """'start:stop:count' -> list of floats."""
-    try:
-        start, stop, count = text.split(":")
-        start, stop, count = float(start), float(stop), int(count)
-    except ValueError as exc:
-        raise ModelFormatError(
-            f"bad grid {text!r}, expected 'start:stop:count'") from exc
+    start, stop, count = _parse("--grid", "start:stop:count", ":",
+                                _finite, _finite, int)(text)
     if count < 1:
         raise ModelFormatError("grid count must be >= 1")
     if count == 1:
@@ -92,24 +114,24 @@ def _parse_grid(text: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _emit_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _write(report, path: str | None) -> None:
+    """A dict as indented JSON, a (header, rows) pair as CSV, to ``path``
+    or stdout; then a report's status line, if any, to stderr."""
+    text = io.StringIO()
+    if isinstance(report, dict):
+        print(json.dumps(report, indent=2), file=text)
     else:
-        print(text)
-
-
-def _emit_csv(header, rows, path: str | None) -> None:
-    fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
+        csv.writer(text).writerows([report[0], *report[1]])
+    if path:
+        try:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text.getvalue())
+        except OSError as exc:
+            raise ModelFormatError(f"cannot write output file {path!r}: {exc}") from exc
+    else:
+        sys.stdout.write(text.getvalue())
+    if isinstance(report, dict) and "status" in report:  # compare's verdict
+        print(report["status"], file=sys.stderr)
 
 
 def _require_kappa(model: OscillatorModel) -> int:
@@ -121,202 +143,132 @@ def _require_kappa(model: OscillatorModel) -> int:
     return kappa
 
 
-def _closed_model(model: OscillatorModel) -> Kappa1DModel:
-    kappa = _require_kappa(model)
-    g = float(next(iter(dict(model.anharmonic.items()).values())))
-    return Kappa1DModel(mass=float(model.mass), omega0=float(model.omega[0]),
-                        g=g, kappa=kappa)
-
-
 # -- subcommand handlers ------------------------------------------------------
+# Each returns its report: a dict is written as JSON, a (header, rows) pair
+# as CSV.
 
-def _cmd_expand_ground(args) -> int:
-    model = _load_model(args.model)
+def _cmd_expand_ground(args):
     trunc = args.trunc if args.trunc is not None else 2 * args.order + 2
-    action = solve_hj_formal(model, trunc)
-    ground = ground_expansion(action, args.order)
-    _emit_json(ground_report(ground), args.output)
-    return 0
+    action = solve_hj_formal(args.model, trunc)
+    return ground_report(ground_expansion(action, args.order))
 
 
-def _cmd_expand_excited(args) -> int:
-    model = _load_model(args.model)
-    levels = _parse_list(args.levels, int)
+def _cmd_expand_excited(args):
     trunc = (args.trunc if args.trunc is not None
-             else 2 * args.order + sum(levels) + 2)
-    action = solve_hj_formal(model, trunc)
+             else 2 * args.order + sum(args.levels) + 2)
+    action = solve_hj_formal(args.model, trunc)
     ground = ground_expansion(action, args.order)
-    excited = excited_expansion(ground, levels, args.order)
-    _emit_json(excited_report(ground, excited), args.output)
-    return 0
+    excited = excited_expansion(ground, args.levels, args.order)
+    return excited_report(ground, excited)
 
 
-def _cmd_rs(args) -> int:
+def _cmd_rs(args):
     rs = rs_expand(args.kappa, args.n, args.order)
     if args.format == "csv":
-        rows = [(k, format_rational(c), float(c))
-                for k, c in enumerate(rs.coefficients)]
-        _emit_csv(("order", "coefficient", "float"), rows, args.output)
-    else:
-        _emit_json(rs.to_json(), args.output)
-    return 0
+        return ("order", "coefficient", "float"), [
+            (k, format_rational(c), float(c)) for k, c in enumerate(rs.coefficients)]
+    return rs.to_json()
 
 
-def _cmd_compare(args) -> int:
-    model = _load_model(args.model)
-    kappa = _require_kappa(model)
+def _cmd_compare(args):
+    kappa = _require_kappa(args.model)
     # the comparison lives in the dimensionless coupling, so normalize g = 1
     normalized = kappa_model(kappa)
-    hbar_order = args.order
     # the ground energy list covers hbar orders 0..K-1, so solve one deeper
-    action = solve_hj_formal(normalized, 2 * (hbar_order + 1) + args.n + 2)
-    ground = ground_expansion(action, hbar_order + 1)
+    action = solve_hj_formal(normalized, 2 * (args.order + 1) + args.n + 2)
+    ground = ground_expansion(action, args.order + 1)
     if args.n == 0:
         series = energy_series(ground)
     else:
-        excited = excited_expansion(ground, [args.n], hbar_order)
+        excited = excited_expansion(ground, [args.n], args.order)
         series = total_energy_series(ground, excited)
-    rs = rs_expand(kappa, args.n, hbar_order // (kappa - 1))
+    rs = rs_expand(kappa, args.n, args.order // (kappa - 1))
     report = compare_with_transport(rs, series)
-    report["requested_order"] = hbar_order
+    report["requested_order"] = args.order
     if report["agree"]:
-        report["status"] = f"AGREE through order {hbar_order}"
+        report["status"] = f"AGREE through order {args.order}"
     else:
         report["status"] = (
             f"MISMATCH at order {report['first_mismatch']}")
-    _emit_json(report, args.output)
-    print(report["status"], file=sys.stderr)
-    return 0
+    return report
 
 
-def _cmd_variational(args) -> int:
-    model = _load_model(args.model)
-    point = _parse_list(args.point)
-    result = minimize_action(model, point, args.nodes, tol=args.tol)
-    _emit_json(result.to_json(), args.output)
-    return 0
+def _cmd_variational(args):
+    return minimize_action(args.model, args.point, args.nodes).to_json()
 
 
-def _scan_closed(model, args):
-    closed = _closed_model(model)
-    if not 0 < args.hbar < math.inf:
-        raise ModelFormatError(f"--hbar must be finite and > 0, got {args.hbar}")
-    xs = _parse_grid(args.grid)
-    try:
-        cols = wavefunction_factors(closed, args.n, args.hbar, xs)
-    except OverflowError as exc:
-        raise DomainExceeded(f"the closed forms overflow a double: {exc}") from exc
-    header = ("x", "S0", "S1", "S2", "Q", "phi0", "u1", "u2", "psi")
-    rows = zip(*(cols[h] for h in header))
-    _emit_csv(header, rows, args.output)
-
-
-def _scan_variational(model, args):
-    axis = _parse_grid(args.grid)
-    points = [list(p) for p in product(axis, repeat=model.dim)]
+def _cmd_scan(args):
+    model, engine = args.model, args.engine
+    if engine == "auto":
+        engine = "closed" if builtin_kappa(model) is not None else "variational"
+    if engine == "closed":
+        g = float(next(iter(dict(model.anharmonic.items()).values())))
+        closed = Kappa1DModel(mass=float(model.mass), omega0=float(model.omega[0]),
+                              g=g, kappa=_require_kappa(model))
+        try:
+            cols = wavefunction_factors(closed, args.n, args.hbar, args.grid)
+        except OverflowError as exc:
+            raise DomainExceeded(f"the closed forms overflow a double: {exc}") from exc
+        header = ("x", "S0", "S1", "S2", "Q", "phi0", "u1", "u2", "psi")
+        return header, zip(*(cols[h] for h in header))
     rows = []
-    for point in points:
-        r = minimize_action(model, point, args.nodes, tol=args.tol)
+    for point in product(args.grid, repeat=model.dim):
+        r = minimize_action(model, list(point), args.nodes)
         rows.append((*point, r.action, *r.momentum.tolist(),
                      r.hj_residual, r.ip_energy_drift, r.iterations))
     header = ([f"x{i + 1}" for i in range(model.dim)] + ["action"]
               + [f"p{i + 1}" for i in range(model.dim)]
               + ["hj_residual", "ip_energy_drift", "iterations"])
-    _emit_csv(header, rows, args.output)
+    return header, rows
 
 
-def _cmd_scan(args) -> int:
-    model = _load_model(args.model)
-    engine = args.engine
-    if engine == "auto":
-        engine = "closed" if builtin_kappa(model) is not None else "variational"
-    if engine == "closed":
-        _scan_closed(model, args)
-    else:
-        _scan_variational(model, args)
-    return 0
-
-
-def _cmd_flow(args) -> int:
-    model = _load_model(args.model)
-    point = _parse_list(args.point)
-    provider = MomentumProvider(model, args.nodes)
+def _cmd_flow(args):
+    provider = MomentumProvider(args.model, args.nodes)
     compare = None
     if not args.forward:
-        compare = minimize_action(model, point, args.nodes).curve
-    traj = semi_flow(model, point, provider, t_span=args.t_span,
+        compare = minimize_action(args.model, args.point, args.nodes).curve
+    traj = semi_flow(args.model, args.point, provider, t_span=args.t_span,
                      compare_curve=compare, forward=args.forward)
-    _emit_json(traj.to_json(), args.output)
-    return 0
+    return traj.to_json()
 
 
-def _load_series(spec: str) -> list[Fraction]:
-    if spec == "builtin:quartic-ground":
-        return rs_expand(2, 0, 11).coefficients  # 12 exact coefficients
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read series file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"series file {spec!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ModelFormatError("series file must hold a JSON list of rationals")
-    return [parse_rational(v) for v in data]
-
-
-def _cmd_resum(args) -> int:
-    if not math.isfinite(args.mu):
-        raise ModelFormatError(f"--mu must be finite, got {args.mu}")
-    series = _load_series(args.series)
-    try:
-        p_text, q_text = args.pade.split(",")
-        p, q = int(p_text), int(q_text)
-    except ValueError as exc:
-        raise ModelFormatError(
-            f"bad --pade {args.pade!r}, expected 'p,q'") from exc
+def _cmd_resum(args):
     kappa = args.kappa
-    if args.series == "builtin:quartic-ground" and kappa is None:
-        kappa = 2
-    result = resum_series(series, args.mu, p, q, kappa=kappa,
+    if args.series == "builtin:quartic-ground":
+        series = rs_expand(2, 0, 11).coefficients  # 12 exact coefficients
+        kappa = 2 if kappa is None else kappa
+    else:
+        series = _read_json(args.series, "series")
+        if not isinstance(series, list):
+            raise ModelFormatError("series file must hold a JSON list of rationals")
+        series = [parse_rational(v) for v in series]
+    result = resum_series(series, args.mu, *args.pade, kappa=kappa,
                           n=args.n if kappa is not None else None,
                           basis_size=args.basis)
-    _emit_json(result.to_json(), args.output)
-    return 0
+    return result.to_json()
 
 
-def _cmd_sternberg(args) -> int:
-    model = _load_model(args.model)
-    action = solve_hj_formal(model, args.degree + 1)
+def _cmd_sternberg(args):
+    action = solve_hj_formal(args.model, args.degree + 1)
     smap = sternberg_linearize(action, args.degree)
     residual = sternberg_residual(smap, action)
-    _emit_json({
+    return {
         "degree": args.degree,
         "components": [comp.to_json() for comp in smap.mu],
         "residual_is_zero": all(r.is_zero() for r in residual),
-    }, args.output)
-    return 0
+    }
 
 
-def _cmd_check_model(args) -> int:
-    model = _load_model(args.model)
-    box = None
-    if args.box:
-        try:
-            lo_text, hi_text = args.box.split(":")
-            box = [(float(lo_text), float(hi_text))] * model.dim
-        except ValueError as exc:
-            raise ModelFormatError(
-                f"bad --box {args.box!r}, expected 'lo:hi'") from exc
-    report = check_hypotheses(model, sample_box=box)
-    _emit_json({
+def _cmd_check_model(args):
+    model = args.model
+    box = [args.box] * model.dim if args.box else None
+    return {
         "model": model.to_json(),
         "omega_min": format_rational(model.omega_min),
         "anharmonic_degree": model.anharmonic_degree(),
         "kappa": builtin_kappa(model),
-        "hypotheses": report.to_json(),
-    }, args.output)
-    return 0
+        "hypotheses": check_hypotheses(model, sample_box=box).to_json(),
+    }
 
 
 # -- parser ---------------------------------------------------------------
@@ -329,115 +281,104 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
 
-    def add_common(p):
+    def command(name, handler, help, model=True):
+        p = sub.add_parser(name, help=help)
+        if model:
+            p.add_argument("--model", required=True, type=_model,
+                           help="model JSON path or "
+                                f"builtin:{{{','.join(sorted(BUILTIN_KAPPA))}}}")
         p.add_argument("--output", help="write result to this file")
+        p.set_defaults(func=handler)
+        return p
 
-    p = sub.add_parser("expand-ground", help="ground-state energy expansion")
-    p.add_argument("--model", required=True,
-                   help=f"model JSON path or builtin:{{{','.join(sorted(BUILTIN_KAPPA))}}}")
+    point = _parse("--point", "x1,...,xn", ",", _finite)
+    positive = functools.partial(_finite, low=0.0)
+    nodes = {"type": int, "default": NODES,
+             "help": "polynomial degree N of the curve"}
+
+    p = command("expand-ground", _cmd_expand_ground,
+                "ground-state energy expansion")
     p.add_argument("--order", type=int, default=6)
     p.add_argument("--trunc", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=_cmd_expand_ground)
 
-    p = sub.add_parser("expand-excited", help="excited-level gap expansion")
-    p.add_argument("--model", required=True)
+    p = command("expand-excited", _cmd_expand_excited,
+                "excited-level gap expansion")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--levels", required=True,
+                   type=_parse("--levels", "m1,...,mn", ",", int),
                    help="comma-separated quantum numbers m1,...,mn")
     p.add_argument("--trunc", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=_cmd_expand_excited)
 
-    p = sub.add_parser("rs", help="Rayleigh-Schrodinger coefficient table")
+    p = command("rs", _cmd_rs, "Rayleigh-Schrodinger coefficient table",
+                model=False)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p)
-    p.set_defaults(func=_cmd_rs)
 
-    p = sub.add_parser("compare",
-                       help="transport vs Rayleigh-Schrodinger comparison")
-    p.add_argument("--model", required=True)
+    p = command("compare", _cmd_compare,
+                "transport vs Rayleigh-Schrodinger comparison")
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--n", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("variational", help="numerical action minimization")
-    p.add_argument("--model", required=True)
-    p.add_argument("--point", required=True, help="target x1,...,xn")
-    p.add_argument("--nodes", type=int, default=NODES,
-                   help="polynomial degree N of the curve")
-    p.add_argument("--tol", type=float, default=1e-10)
-    add_common(p)
-    p.set_defaults(func=_cmd_variational)
+    p = command("variational", _cmd_variational,
+                "numerical action minimization")
+    p.add_argument("--point", required=True, type=point,
+                   help="target x1,...,xn")
+    p.add_argument("--nodes", **nodes)
 
-    p = sub.add_parser("scan", help="CSV sweep over a coordinate grid")
-    p.add_argument("--model", required=True)
-    p.add_argument("--grid", required=True, help="start:stop:count")
+    p = command("scan", _cmd_scan, "CSV sweep over a coordinate grid")
+    p.add_argument("--grid", required=True, type=_grid,
+                   help="start:stop:count")
     p.add_argument("--engine", choices=("auto", "closed", "variational"),
                    default="auto")
     p.add_argument("--n", type=int, default=0, help="closed engine: level")
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--nodes", type=int, default=NODES,
-                   help="polynomial degree N of the curve")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--hbar", type=_parse("--hbar", "a number > 0", None, positive),
+                   default=1.0)
+    p.add_argument("--nodes", **nodes)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; has no effect")
-    add_common(p)
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("flow", help="gradient semi-flow trajectory")
-    p.add_argument("--model", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--t-span", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=NODES,
-                   help="polynomial degree N of the curve")
+    p = command("flow", _cmd_flow, "gradient semi-flow trajectory")
+    p.add_argument("--point", required=True, type=point)
+    p.add_argument("--t-span", type=_parse("--t-span", "a number > 0", None, positive),
+                   default=None)
+    p.add_argument("--nodes", **nodes)
     p.add_argument("--forward", action="store_true",
                    help="integrate forward (escape detection)")
-    add_common(p)
-    p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("resum", help="Borel-Pade resummation")
+    p = command("resum", _cmd_resum, "Borel-Pade resummation", model=False)
     p.add_argument("--series", required=True,
                    help="JSON list file or builtin:quartic-ground")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--pade", default="5,5", help="'p,q'")
+    p.add_argument("--mu", type=_parse("--mu", "a finite number", None, _finite),
+                   required=True)
+    p.add_argument("--pade", type=_parse("--pade", "p,q", ",", int, int),
+                   default=(5, 5), help="'p,q'")
     p.add_argument("--kappa", type=int, default=None)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--basis", type=int, default=200)
-    add_common(p)
-    p.set_defaults(func=_cmd_resum)
 
-    p = sub.add_parser("sternberg", help="formal linearizing coordinates")
-    p.add_argument("--model", required=True)
+    p = command("sternberg", _cmd_sternberg, "formal linearizing coordinates")
     p.add_argument("--degree", type=int, default=7)
-    add_common(p)
-    p.set_defaults(func=_cmd_sternberg)
 
-    p = sub.add_parser("check-model",
-                       help="validate a model and its hypotheses")
-    p.add_argument("--model", required=True)
-    p.add_argument("--box", default=None, help="sample box 'lo:hi'")
-    add_common(p)
-    p.set_defaults(func=_cmd_check_model)
+    p = command("check-model", _cmd_check_model,
+                "validate a model and its hypotheses")
+    p.add_argument("--box", type=_parse("--box", "lo:hi", ":", _finite, _finite),
+                   default=None, help="sample box 'lo:hi'")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        _write(args.func(args), args.output)
+    except SystemExit as exc:  # usage errors and --help, from parse_args
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except EngineError as exc:
         print(json.dumps(exc.to_json()), file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ class OscillatorModel:
             a_data = data.get("A") or {"terms": []}
             terms = {tuple(t["k"]): parse_rational(t["c"])
                      for t in a_data.get("terms", [])}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"malformed model JSON: {exc}") from exc
         if len(omega) != dim:
             raise ModelFormatError(

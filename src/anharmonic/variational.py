@@ -47,6 +47,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
+    DomainExceeded,
     GradientProviderFailure,
     HypothesisViolation,
     ModelFormatError,
@@ -240,10 +241,13 @@ def check_hypotheses(model: OscillatorModel, sample_box=None) -> HypothesisRepor
     axes = [np.linspace(lo, hi, _HYPOTHESIS_GRID) for lo, hi in sample_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    v, _, hess = ev.jet(pts)
-    # A + (1/2) m sum lambda_i^2 x_i^2, read off V
-    margin = v - 0.5 * ev.mass * ((ev.omega ** 2 - lambdas ** 2)
-                                  * pts ** 2).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, _, hess = ev.jet(pts)
+        # A + (1/2) m sum lambda_i^2 x_i^2, read off V
+        margin = v - 0.5 * ev.mass * ((ev.omega ** 2 - lambdas ** 2)
+                                      * pts ** 2).sum(axis=1)
+    if not (np.isfinite(margin).all() and np.isfinite(hess).all()):
+        raise DomainExceeded("V or its Hessian overflows a double in the sample box")
     worst = int(np.argmin(margin))
     eigs = np.linalg.eigvalsh(hess)
     min_eig = eigs[:, 0]
@@ -340,13 +344,12 @@ def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
         iterations=max_iter)
 
 
-def minimize_action(model: OscillatorModel, x, nodes: int = NODES,
-                    tol: float = _TOL) -> VariationalResult:
+def minimize_action(model: OscillatorModel, x, nodes: int = NODES) -> VariationalResult:
     """Minimize the discretized inverted-potential action to the target x."""
-    return _solve(*_discretize(model, nodes), x, tol)[0]
+    return _solve(*_discretize(model, nodes), x)[0]
 
 
-def _solve(ev: _ModelEval, spec: _Spectral, x, tol: float):
+def _solve(ev: _ModelEval, spec: _Spectral, x):
     """``minimize_action`` on a built discretization; also returns Hess V
     at the Gauss points of the minimizer."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -357,7 +360,7 @@ def _solve(ev: _ModelEval, spec: _Spectral, x, tol: float):
     nodes = s.size - 1
     # the linearized minimizer x_i exp(omega_i t)
     free0 = x[None, :] * s[1:, None] ** ev.powers[None, :]
-    free, action, grad, hess_v, iters = _newton(ev, spec, free0, tol)
+    free, action, grad, hess_v, iters = _newton(ev, spec, free0, _TOL)
     pts = np.vstack([np.zeros((1, ev.dim)), free])
     coeffs = np.abs(spec.cheb @ pts)
     tail = float(coeffs[-2:].max() / coeffs.max()) if coeffs.max() > 0.0 else 0.0
@@ -401,7 +404,7 @@ class MomentumProvider:
     def _minimize(self, x):
         """The minimizer to x and Hess V at its Gauss points."""
         try:
-            return _solve(self._ev, self._spec, x, _TOL)
+            return _solve(self._ev, self._spec, x)
         except (NoConvergence, HypothesisViolation) as exc:
             raise GradientProviderFailure(
                 f"gradient sample failed at {np.ravel(x).tolist()}: {exc}") from exc
@@ -527,8 +530,8 @@ def decay_bound_satisfied(traj: FlowTrajectory, omega_min: float,
 
 # -- numerical first transport integral ----------------------------------------
 
-def numeric_s1(model: OscillatorModel, x, provider: MomentumProvider | None = None,
-               nodes: int = NODES) -> float:
+def numeric_s1(model: OscillatorModel, x,
+               provider: MomentumProvider | None = None) -> float:
     """S_1(x) from the transport integral along the minimizing curve.
 
     In s = exp(c t) the integral is int_0^1 f(gamma(s)) ds / (c s) with
@@ -540,7 +543,7 @@ def numeric_s1(model: OscillatorModel, x, provider: MomentumProvider | None = No
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
-    provider = provider or MomentumProvider(model, nodes)
+    provider = provider or MomentumProvider(model)
     curve = minimize_action(model, x, provider.nodes).curve
     spec, rate = provider._spec, provider._ev.rate
     half_omega = 0.5 * float(sum(model.omega))

@@ -1,9 +1,12 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +148,21 @@ class TestNumerics:
         assert data["reference_energy"] == pytest.approx(
             0.5591463271835196, abs=1e-9)
 
+    def test_resum_basis_size(self, capsys):
+        """The n = 30 level at mu = 1 moves by 1.7e-5 when the default 200
+        basis states double; from 400 it holds."""
+        argv = ("resum", "--series", "builtin:quartic-ground", "--mu", "1",
+                "--kappa", "2", "--n", "30")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "NotConverged"
+        assert payload["payload"]["delta"] == pytest.approx(1.735e-5, rel=1e-3)
+        code, out, _ = run_cli(capsys, *argv, "--basis", "400")
+        assert code == 0
+        assert json.loads(out)["reference_energy"] == pytest.approx(
+            133.78326027, abs=1e-8)
+
     def test_resum_series_file(self, capsys, tmp_path):
         path = tmp_path / "series.json"
         path.write_text(json.dumps(["1/2", "3/4", "-21/8", "333/16",
@@ -184,6 +202,15 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "no-such-command")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [("variational", "--point", "1"),
+                                      ("scan", "--grid", "0:1:2")],
+                             ids=["variational", "scan"])
+    def test_tol_is_not_an_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--model", "builtin:quartic",
+                                 "--tol", "1e-3")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --tol 1e-3" in err
+
     def test_engine_error_is_2_with_json(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "expand-excited",
@@ -194,6 +221,18 @@ class TestExitCodes:
         assert payload["error"] == "DegenerateEigenvalue"
         assert payload["payload"]["monomial"] == [0, 2]
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe not utf-8",
+        b'{"dim": 1, "mass": "1/0", "omega": ["1"]}',
+    ], ids=["undecodable", "zero-denominator"])
+    def test_bad_model_file_is_2_with_json(self, capsys, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "expand-ground", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ModelFormatError"
+
     def test_missing_model_file_is_2(self, capsys):
         code, _, err = run_cli(capsys, "expand-ground",
                                "--model", "/nonexistent/model.json")
@@ -203,11 +242,54 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("expand-excited", "--model", "builtin:quartic", "--levels", "a"),
         ("check-model", "--model", "builtin:quartic", "--box=abc"),
-    ], ids=["levels", "box"])
+        ("check-model", "--model", "builtin:quartic", "--box=nan:1"),
+        ("check-model", "--model", "builtin:quartic", "--box=0:inf"),
+        # values are checked while parsing, before required options are
+        ("variational", "--model", "/nonexistent/model.json"),
+    ], ids=["levels", "box", "box-nan", "box-inf", "model-before-point"])
+    @pytest.mark.filterwarnings("error")
     def test_malformed_value_is_2_with_json(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(err.strip())["error"] == "ModelFormatError"
+
+    @pytest.mark.filterwarnings("error")
+    def test_box_overflow_is_2_with_json(self, capsys):
+        code, out, err = run_cli(capsys, "check-model", "--model",
+                                 "builtin:quartic", "--box=1e308:0.7")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainExceeded"
+
+    @pytest.mark.parametrize("argv", [
+        ("--t-span", "-1"), ("--t-span", "0"), ("--t-span", "nan"),
+        ("--forward", "--t-span", "-1"),
+    ], ids=" ".join)
+    def test_bad_t_span_is_2_with_json(self, capsys, argv):
+        """A backward span of -1 used to run outward and report deviation
+        0.0; a span of 0 returned one point."""
+        code, out, err = run_cli(capsys, "flow", "--model", "builtin:quartic",
+                                 "--point", "0.5", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ModelFormatError"
+
+    @pytest.mark.parametrize("argv", [
+        ("expand-ground", "--model", "builtin:quartic", "--order", "2"),
+        ("rs", "--kappa", "2", "--order", "3", "--format", "csv"),
+        # no "AGREE" verdict line before the error
+        ("compare", "--model", "builtin:quartic", "--order", "2"),
+    ], ids=["json", "csv", "compare"])
+    def test_unwritable_output_is_2_with_json(self, capsys, tmp_path, argv):
+        dest = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *argv, "--output", str(dest))
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ModelFormatError"
+        assert payload["message"].startswith("cannot write output file")
+        assert not dest.parent.exists()
 
     @pytest.mark.parametrize("argv", [
         (*command, *grid)
@@ -354,3 +436,19 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [1, 0, 0, 0]
     assert reused[1] == reused[3] != reused[2]
+
+
+def test_every_option_is_passed_in_this_file():
+    """Each option string of each subcommand appears in this file, so no
+    option goes untested (help aside)."""
+    from anharmonic import cli
+
+    source = Path(__file__).read_text(encoding="utf-8")
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in sub.choices.values() for a in p._actions
+               if not isinstance(a, argparse._HelpAction)
+               for opt in a.option_strings}
+    missing = [opt for opt in sorted(options)
+               if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", source)]
+    assert missing == []
