@@ -241,7 +241,13 @@ def _cmd_resum(args):
         series = _read_json(args.series, "series")
         if not isinstance(series, list):
             raise ModelFormatError("series file must hold a JSON list of rationals")
-        series = [parse_rational(v) for v in series]
+        for i, value in enumerate(series):
+            try:
+                series[i] = parse_rational(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ModelFormatError(
+                    f"series entry {i}, {json.dumps(value)}, is not a rational",
+                    index=i) from exc
     result = resum_series(series, args.mu, *args.pade, kappa=kappa,
                           n=args.n if kappa is not None else None,
                           basis_size=args.basis)

@@ -13,8 +13,8 @@ at a time, forming just that slice of the product (an online or "relaxed"
 product: van der Hoeven, *Relax, but don't be too lazy*, 2002) and dividing
 each monomial x^k by sum_i k_i omega_i - shift.  A slice is integer
 numerators over one denominator, (L, [(k, n), ...]) as in PolySeries.graded,
-one list per axis for a gradient; each source sums in integers over an lcm
-denominator and becomes Fractions once, before the division.  The
+one per axis for a gradient; sources and products sum into one integer
+accumulator, divided by integer divisors into one Fraction each.  The
 nonlinear equation (1/2m)|grad S0|^2 = V has the same shape, with shift 0:
 
     E s_d = V_d - (1/2m) sum_{i+j=d+2; i,j>=3} grad s_i . grad s_j.
@@ -28,13 +28,13 @@ that is reported, not worked around.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import lcm
 
 from .errors import (BadTruncation, DegenerateEigenvalue, ResonantDivisor,
                      TruncationTooSmall)
 from .model import OscillatorModel
-from .series import (PolySeries, dot_gradients, format_rational, grlex_key,
-                     integer_slice, widen)
+from .series import (PolySeries, add_product, dot_gradients, format_rational,
+                     grlex_key, integer_slice, widen)
 
 
 class FormalAction:
@@ -62,70 +62,64 @@ class SternbergMap:
         self.trunc = trunc
 
 
-def _gradient(part: tuple, dim: int) -> tuple:
-    """Per-axis partial derivatives of one nonempty integer slice."""
+def _gradient(part: tuple, dim: int) -> list:
+    """Per-axis partial derivatives of one nonempty integer slice, as slices."""
     grad: list[list] = [[] for _ in range(dim)]
     for k, c in part[1]:
         for i, e in enumerate(k):
             if e:
                 grad[i].append((k[:i] + (e - 1,) + k[i + 1:], c * e))
-    return part[0], grad
+    return [(part[0], g) for g in grad]
 
 
-def _add_dot(acc: list, ga: tuple | None, gb: tuple | None, scale) -> None:
-    """acc += scale * (ga . gb) for two integer gradient slices (None if empty)."""
-    if not (ga and gb):
-        return
-    f = widen(acc, ga[0] * gb[0] * scale.denominator) * scale.numerator
-    nums = acc[1]
-    for pa, pb in zip(ga[1], gb[1]):
-        for ka, ca in pa:
-            ca *= f
-            for kb, cb in pb:
-                k = tuple(map(add, ka, kb))
-                nums[k] = nums.get(k, 0) + ca * cb
+def _add_dot(acc: list, ga: list, gb: list, scale) -> None:
+    """acc += scale * (ga . gb) for two integer gradients ([] if zero)."""
+    for pa, pb in zip(ga, gb):
+        add_product(acc, pa, pb, scale)
 
 
 def _add_slice(acc: list, part: tuple | None, scale) -> None:
     """acc += scale * part for one integer slice."""
-    if part:
+    if part and scale:
         f = widen(acc, part[0] * scale.denominator) * scale.numerator
         for k, c in part[1]:
             acc[1][k] = acc[1].get(k, 0) + f * c
 
 
-def _divide(src: dict, omega, shift, free=None) -> tuple[dict, Fraction]:
-    """Solve (E - shift) u = src on one slice.
+def _frequencies(omega, shift) -> tuple:
+    """(q, [q omega_i], q shift), q the lcm of their denominators."""
+    q = lcm(shift.denominator, *(w.denominator for w in omega))
+    return q, [(w * q).numerator for w in omega], (shift * q).numerator
 
-    Returns (u, obstruction): ``obstruction`` is the coefficient of src at
+
+def _divide(acc: list, freq: tuple, free=None) -> tuple[dict, Fraction]:
+    """Solve (E - shift) u = acc on one slice in integers, ``freq`` as above.
+
+    Returns (u, obstruction): ``obstruction`` is the coefficient of acc at
     ``free``, whose divisor vanishes and whose coefficient is left out of u.
     Any other vanishing divisor on a nonzero coefficient raises
     DegenerateEigenvalue, naming the first such monomial in grlex order.
     """
-    out = {}
-    resonant = []
-    for k, c in src.items():
-        if not c or k == free:
-            continue
-        divisor = sum(e * w for e, w in zip(k, omega)) - shift
-        if divisor:
-            out[k] = c / divisor
-        else:
-            resonant.append(k)
+    den, nums = acc
+    q, omega, shift = freq
+    divisors = {k: sum(e * w for e, w in zip(k, omega)) - shift
+                for k, n in nums.items() if n and k != free}
+    resonant = [k for k, v in divisors.items() if not v]
     if resonant:
         k = min(resonant, key=grlex_key)
         raise DegenerateEigenvalue(
             f"vanishing divisor on monomial {list(k)}: "
-            f"sum k_i omega_i = {format_rational(shift)}",
+            f"sum k_i omega_i = {format_rational(Fraction(shift, q))}",
             monomial=list(k))
-    return out, Fraction(src.get(free, 0))
+    return ({k: Fraction(nums[k] * q, den * v) for k, v in divisors.items()},
+            Fraction(nums.get(free, 0), den))
 
 
 def solve_transport(action: FormalAction, shift, trunc: int,
-                    rhs: PolySeries | None = None, seed: tuple | None = None,
+                    rhs=(), seed: tuple | None = None,
                     free: tuple | None = None, kernel: PolySeries | None = None):
     """Solve (1/m) grad S0 . grad u - shift u = rhs + lam kernel through
-    degree ``trunc``; returns (u, lam).
+    degree ``trunc``; returns (u, lam).  ``rhs`` lists (series, weight) pairs.
 
     ``seed`` puts coefficient 1 on that monomial (its divisor vanishes).
     ``free`` keeps coefficient 0 on it and fixes lam so that its equation
@@ -138,32 +132,31 @@ def solve_transport(action: FormalAction, shift, trunc: int,
     model = action.model
     dim = model.dim
     scale = Fraction(-1) / model.mass
+    freq = _frequencies(model.omega, shift)
     S0 = action.S0.graded()
-    field = [_gradient(S0[a], dim) if a in S0 else None
+    field = [_gradient(S0[a], dim) if a in S0 else []
              for a in range(action.S0.trunc + 1)]
-    rhs = rhs.graded() if rhs is not None else {}
-    kernel = kernel.graded() if kernel is not None else {}
+    sources = [(series.graded(), weight) for series, weight in rhs]
     pin = seed if seed is not None else free
     pin_degree = sum(pin) if pin is not None else -1
     terms: dict = {}
-    grads: list[tuple | None] = []
+    grads: list[list] = []
     lam = Fraction(0)
     for d in range(trunc + 1):
         acc = [1, {}]
-        _add_slice(acc, rhs.get(d), 1)
+        for graded, weight in sources:
+            _add_slice(acc, graded.get(d), weight)
         for b in range(max(1, d + 3 - len(field)), d):
             _add_dot(acc, field[d + 2 - b], grads[b], scale)
-        if lam:
-            _add_slice(acc, kernel.get(d), lam)
-        part, obstruction = _divide(
-            {k: Fraction(v, acc[0]) for k, v in acc[1].items() if v},
-            model.omega, shift, pin if d == pin_degree else None)
+        part, obstruction = _divide(acc, freq, pin if d == pin_degree else None)
         if d == pin_degree:
             lam = -obstruction
             if seed is not None:
                 part[seed] = Fraction(1)
+            if kernel is not None:  # lam kernel enters above |free| only
+                sources.append((kernel.graded(), lam))
         terms.update(part)
-        grads.append(_gradient(integer_slice(part.items()), dim) if part else None)
+        grads.append(_gradient(integer_slice(part.items()), dim) if part else [])
     return PolySeries(dim, trunc, terms), lam
 
 
@@ -174,18 +167,18 @@ def solve_hj_formal(model: OscillatorModel, trunc: int) -> FormalAction:
         raise BadTruncation(f"truncation degree must be >= 2, got {trunc}")
     V = model.potential_series(trunc).graded()
     half, whole = Fraction(-1, 2) / model.mass, Fraction(-1) / model.mass
+    freq = _frequencies(model.omega, 0)
     terms: dict = {}
-    grads = [None] * 3  # only the slices of degree >= 3 enter the sums
+    grads = [[]] * 3  # only the slices of degree >= 3 enter the sums
     for d in range(3, trunc + 1):
         acc = [1, {}]
         _add_slice(acc, V.get(d), 1)
         for i in range(3, (d + 2) // 2 + 1):
             _add_dot(acc, grads[i], grads[d + 2 - i], half if 2 * i == d + 2 else whole)
-        part, _ = _divide({k: Fraction(v, acc[0]) for k, v in acc[1].items() if v},
-                          model.omega, 0)
+        part, _ = _divide(acc, freq)
         terms.update(part)
         grads.append(_gradient(integer_slice(part.items()), model.dim)
-                     if part else None)
+                     if part else [])
     S0 = model.quadratic_action(trunc) + PolySeries(model.dim, trunc, terms)
     return FormalAction(model, S0)
 

@@ -81,13 +81,21 @@ class OscillatorModel:
             a_data = data.get("A") or {"terms": []}
             terms = {tuple(t["k"]): parse_rational(t["c"])
                      for t in a_data.get("terms", [])}
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            if any(type(e) is not int for k in terms for e in k):
+                raise ValueError("exponents must be integers")
+            degrees = {k: sum(k) for k in terms}
+            trunc = int(a_data.get("trunc", max(degrees.values(), default=3)))
+        except (AttributeError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
             raise ModelFormatError(f"malformed model JSON: {exc}") from exc
         if len(omega) != dim:
             raise ModelFormatError(
                 f"model declares dim={dim} but lists {len(omega)} frequencies")
-        max_deg = max((sum(k) for k in terms), default=3)
-        trunc = int(a_data.get("trunc", max_deg))
+        for k, degree in degrees.items():  # PolySeries drops terms above trunc
+            if degree > trunc:
+                raise ModelFormatError(
+                    f"anharmonic term {list(k)} has degree {degree} above "
+                    f"A.trunc = {trunc}", term=list(k), trunc=trunc)
         anharmonic = PolySeries(dim, trunc, terms)
         return cls(mass, omega, anharmonic)
 

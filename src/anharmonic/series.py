@@ -64,6 +64,17 @@ def widen(acc: list, den: int) -> int:
     return acc[0] // den
 
 
+def add_product(acc: list, a: tuple, b: tuple, scale=1) -> None:
+    """acc += scale * a * b for integer slices: the one slice-product loop."""
+    f = widen(acc, a[0] * b[0] * scale.denominator) * scale.numerator
+    nums = acc[1]
+    for ka, na in a[1]:
+        na *= f
+        for kb, nb in b[1]:
+            k = tuple(map(add, ka, kb))
+            nums[k] = nums.get(k, 0) + na * nb
+
+
 class PolySeries:
     """Immutable truncated formal power series with exact rational terms."""
 
@@ -187,17 +198,11 @@ class PolySeries:
         self._require_same_dim(other)
         trunc = min(self.trunc, other.trunc)
         acc: dict[int, list] = {}  # degree -> [L, {k: numerator over L}]
-        for da, (la, ta) in self.graded().items():
-            for db, (lb, tb) in other.graded().items():
+        for da, sa in self.graded().items():
+            for db, sb in other.graded().items():
                 if da + db > trunc:
                     break
-                slot = acc.setdefault(da + db, [la * lb, {}])
-                f, nums = widen(slot, la * lb), slot[1]
-                for ka, na in ta:
-                    na *= f
-                    for kb, nb in tb:
-                        k = tuple(map(add, ka, kb))
-                        nums[k] = nums.get(k, 0) + na * nb
+                add_product(acc.setdefault(da + db, [1, {}]), sa, sb)
         return PolySeries._trusted(self.dim, trunc, {
             k: Fraction(n, q) for q, ns in acc.values() for k, n in ns.items() if n})
 

@@ -5,8 +5,8 @@ Conventions (all exact rationals):
 * Energies are graded as E = hbar (E_0 + hbar E_1 + hbar^2/2! E_2 + ...);
   the list entry ``energies[k]`` stores E_k in that hbar^k/k! convention.
   ``energy_series`` converts to plain power-series coefficients e_k = E_k/k!.
-* Each correction is one call of ``hjformal.solve_transport`` on a right
-  side built from the lower corrections.  Ground corrections (shift 0)
+* Each correction is one call of ``hjformal.solve_transport`` on weighted
+  terms built from the lower corrections.  Ground corrections (shift 0)
   satisfy, for k >= 1,
       -(1/m) grad S_0 . grad S_k
       - (1/2m) sum_{j=1}^{k-1} C(k,j) grad S_j . grad S_{k-j}
@@ -85,11 +85,11 @@ def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
     grads = [None]  # grad S_j for 1 <= j < order; grad S_0 is never read
     energies: list[Fraction] = []
     for k in range(1, order + 1):
-        rhs = corrections[k - 1].laplacian().scale(Fraction(k) * inv_2m)
+        rhs = [(corrections[k - 1].laplacian(), k * inv_2m)]
         for j in range(1, k // 2 + 1):
             weight = comb(k, j) * (1 if 2 * j == k else 2)
-            rhs = rhs - dot_gradients(grads[j], grads[k - j]).scale(weight * inv_2m)
-        sk, lam = solve_transport(action, 0, rhs.trunc, rhs,
+            rhs.append((dot_gradients(grads[j], grads[k - j]), -weight * inv_2m))
+        sk, lam = solve_transport(action, 0, min(s.trunc for s, _ in rhs), rhs,
                                   free=(0,) * model.dim)
         energies.append(-lam / k)
         corrections.append(sk)
@@ -165,15 +165,14 @@ def excited_expansion(ground: GroundExpansion, quantum_numbers,
     gaps = [gap0]
     for k in range(1, order + 1):
         phi_grads.append(corrections[k - 1].gradient())
-        rhs = corrections[k - 1].laplacian().scale(Fraction(k) * inv_2m)
+        rhs = [(corrections[k - 1].laplacian(), k * inv_2m)]
         for j in range(1, k + 1):
-            c_kj = Fraction(comb(k, j))
+            c_kj = comb(k, j)
             if j < k:
-                rhs = rhs + corrections[k - j].scale(c_kj * gaps[j])
-            rhs = rhs - dot_gradients(grads[j - 1], phi_grads[k - j]) \
-                .scale(c_kj * inv_m)
-        phik, gap_k = solve_transport(action, gap0, rhs.trunc, rhs,
-                                      free=m_idx, kernel=phi0)
+                rhs.append((corrections[k - j], c_kj * gaps[j]))
+            rhs.append((dot_gradients(grads[j - 1], phi_grads[k - j]), -c_kj * inv_m))
+        phik, gap_k = solve_transport(action, gap0, min(s.trunc for s, _ in rhs),
+                                      rhs, free=m_idx, kernel=phi0)
         corrections.append(phik)
         gaps.append(gap_k)
     return ExcitedExpansion(model, m_idx, order, corrections, gaps)

@@ -126,6 +126,21 @@ def test_transport_agrees_with_rs_oracle_through_order_10(kappa, n):
     assert report["through_order"] == hbar_order // (kappa - 1)
 
 
+def test_quartic_large_order_matches_bender_wu():
+    """The quartic ground series at 41 orders: exact against RS through
+    e_15, and for k = 20..40 within 3/k^2 of the Bender-Wu asymptotics
+    e_k ~ L_k (1 - 95/(72 k)), L_k = (-1)^(k+1) sqrt(6) pi^(-3/2) 3^k
+    Gamma(k + 1/2) (Bender & Wu, Phys. Rev. D 7, 1620 (1973)).  The
+    measured k^2 |deviation| falls from 2.64 at k = 20 to 2.22 at k = 40."""
+    e = energy_series(ground_expansion(solve_hj_formal(kappa_model(2), 82), 41))
+    assert e[:16] == rs_expand(2, 0, 15).coefficients
+    for k in range(20, 41):
+        lead = ((-1) ** (k + 1) * math.sqrt(6) * math.pi ** -1.5 * 3.0 ** k
+                * math.gamma(k + 0.5))
+        deviation = float(e[k]) / lead / (1 - 95 / (72 * k)) - 1
+        assert abs(deviation) <= 3 / k ** 2, (k, deviation)
+
+
 def test_harmonic_expansion_terminates_with_hermite_polynomials():
     """With A = 0 every correction vanishes, energies are exactly
     sum w_i (m_i + 1/2), and the excited polynomials are leading-normalized

@@ -32,6 +32,11 @@ def degenerate_model_file(tmp_path):
     return str(path)
 
 
+def model_1d(**fields) -> bytes:
+    """A 1D harmonic model file with ``fields`` replaced or added."""
+    return json.dumps({"dim": 1, "mass": "1", "omega": ["1"], **fields}).encode()
+
+
 class TestExpand:
     def test_expand_ground_json(self, capsys):
         code, out, _ = run_cli(capsys, "expand-ground",
@@ -74,10 +79,11 @@ class TestRSAndCompare:
         assert rows[0] == ["order", "coefficient", "float"]
         assert rows[2][1] == "3/4"
 
-    def test_compare_agrees(self, capsys):
+    @pytest.mark.parametrize("n", ["0", "1", "2"])
+    def test_compare_agrees(self, capsys, n):
         code, out, err = run_cli(capsys, "compare",
                                  "--model", "builtin:quartic",
-                                 "--order", "6")
+                                 "--order", "6", "--n", n)
         assert code == 0
         data = json.loads(out)
         assert data["agree"] is True
@@ -221,17 +227,43 @@ class TestExitCodes:
         assert payload["error"] == "DegenerateEigenvalue"
         assert payload["payload"]["monomial"] == [0, 2]
 
-    @pytest.mark.parametrize("content", [
-        b"\xff\xfe not utf-8",
-        b'{"dim": 1, "mass": "1/0", "omega": ["1"]}',
-    ], ids=["undecodable", "zero-denominator"])
-    def test_bad_model_file_is_2_with_json(self, capsys, tmp_path, content):
+    @pytest.mark.parametrize("content, error", [
+        (b"\xff\xfe not utf-8", "ModelFormatError"),
+        (model_1d(mass="1/0"), "ModelFormatError"),
+        (model_1d(mass="0"), "ModelFormatError"),
+        (model_1d(omega=["-1"]), "ModelFormatError"),
+        (model_1d(A={"terms": [{"k": [2], "c": "1"}]}), "ModelFormatError"),
+        (model_1d(A={"terms": [{"k": [3, 1], "c": "1"}]}), "DimensionMismatch"),
+        (model_1d(A={"terms": [{"k": ["a"], "c": "1"}]}), "ModelFormatError"),
+        (model_1d(A={"terms": [{"k": [4.7], "c": "1"}]}), "ModelFormatError"),
+        (model_1d(A=[1]), "ModelFormatError"),
+    ], ids=["undecodable", "zero-denominator", "mass-0", "omega-negative",
+            "degree-2-term", "two-index-term", "text-exponent",
+            "fractional-exponent", "A-not-object"])
+    def test_bad_model_file_is_2_with_json(self, capsys, tmp_path, content, error):
         path = tmp_path / "model.json"
         path.write_bytes(content)
         code, out, err = run_cli(capsys, "expand-ground", "--model", str(path))
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "ModelFormatError"
+        assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("trunc", [3, 4, 8])
+    def test_model_trunc_below_a_term_is_2(self, capsys, tmp_path, trunc):
+        """A.trunc 3 used to drop the x^4 term: check-model reported no
+        anharmonicity and expand-ground solved the harmonic oscillator."""
+        path = tmp_path / "model.json"
+        path.write_bytes(model_1d(A={"trunc": trunc, "terms": [{"k": [4], "c": "1"}]}))
+        code, out, err = run_cli(capsys, "check-model", "--model", str(path))
+        if trunc >= 4:
+            assert code == 0
+            assert json.loads(out)["anharmonic_degree"] == 4
+            return
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ModelFormatError"
+        assert payload["payload"] == {"term": [4], "trunc": 3}
 
     def test_missing_model_file_is_2(self, capsys):
         code, _, err = run_cli(capsys, "expand-ground",
@@ -410,6 +442,20 @@ class TestExitCodes:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("series, index", [
+        ([None], 0), (["1/2", "1/0"], 1), ({"a": 1}, None),
+    ], ids=["null", "zero-denominator", "not-a-list"])
+    def test_bad_series_file_is_2_with_json(self, capsys, tmp_path, series, index):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(series))
+        code, out, err = run_cli(capsys, "resum", "--series", str(path),
+                                 "--mu", "0.1")
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ModelFormatError"
+        assert payload.get("payload", {}).get("index") == index
 
     def test_kappa_required_subcommand_is_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compare",

@@ -43,7 +43,7 @@ GRAMMAR = {
              "--hbar": ["0.5", "1"], "--nodes": NODES, "--threads": ["2"]},
     "flow": {"--model": MODELS, "--point": POINTS, "--t-span": ["1", "2"],
              "--nodes": NODES, "--forward": FLAG},
-    "resum": {"--series": ["builtin:quartic-ground", "SERIES"],
+    "resum": {"--series": ["builtin:quartic-ground", "SERIES", "BADSERIES"],
               "--mu": ["0.05", "0.1", "1"], "--pade": ["2,2", "5,5"],
               "--kappa": ["2"], "--n": ["0", "1"], "--basis": ["100", "200"]},
     "sternberg": {"--model": MODELS, "--degree": ["3", "7"]},
@@ -85,7 +85,9 @@ def files(tmp_path_factory):
               "trunc": 8}}))
     series = root / "series.json"
     series.write_text(json.dumps(["1/2", "3/4", "-21/8", "333/16", "-30885/128"]))
-    return {"MODEL2D": str(model), "SERIES": str(series)}
+    bad = root / "bad-series.json"
+    bad.write_text(json.dumps(["1/2", "3/4", None, "1/0"]))
+    return {"MODEL2D": str(model), "SERIES": str(series), "BADSERIES": str(bad)}
 
 
 def reject_constant(name):
