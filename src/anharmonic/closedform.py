@@ -235,18 +235,26 @@ def sternberg_1d_inverse(model: Kappa1DModel, y: float) -> float:
     return y / (1.0 - t) ** (1.0 / p)
 
 
-def _phi_factor(model: Kappa1DModel, n: int, hbar: float, order: int,
-                x: float) -> float:
-    """phi_0 + hbar phi_1 + (hbar^2/2) phi_2, phi_k = u_k phi_0, with the
-    Laurent heads of u_k folded into phi_0 so it stays smooth across x = 0."""
-    if n == 0:
-        return 1.0
-    total = phi0_closed(model, n, x)
+def _psi(model: Kappa1DModel, n: int, hbar: float, order: int, x: float,
+         s0: float, s1: float, s2: float, phi0: float) -> float:
+    """(phi_0 + hbar phi_1 + (hbar^2/2) phi_2) exp(-S_0/hbar - S_1 - (hbar/2) S_2)
+    from the values of S_0, S_1, S_2 and phi_0 at x, phi_k = u_k phi_0, with
+    the Laurent heads of u_k folded into phi_0 so it stays smooth across
+    x = 0."""
+    exponent = -s0 / hbar
     if order >= 1:
-        total += hbar * _closed(model, "u_1", n, x, power=n)
+        exponent -= s1
     if order >= 2:
+        exponent -= 0.5 * hbar * s2
+    total = phi0
+    if n and order >= 1:
+        total += hbar * _closed(model, "u_1", n, x, power=n)
+    if n and order >= 2:
         total += 0.5 * hbar * hbar * _closed(model, "u_2", n, x, power=n)
-    return total
+    psi = total * math.exp(exponent)
+    if psi != psi:  # hbar^2 phi_2 overflowed where exp(exponent) underflowed
+        raise DomainExceeded(f"psi overflows at hbar = {hbar}, x = {x}", x=x)
+    return psi
 
 
 def evaluate_wavefunction(model: Kappa1DModel, hbar: float, n: int,
@@ -262,15 +270,10 @@ def evaluate_wavefunction(model: Kappa1DModel, hbar: float, n: int,
         raise UnsupportedKappa(
             f"corrections beyond leading order need kappa = 2, "
             f"got kappa = {model.kappa}")
-    exponent = -s0_closed(model, x) / hbar
-    if order >= 1:
-        exponent -= s1_closed(model, x)
-    if order >= 2:
-        exponent -= 0.5 * hbar * s2_closed(model, x)
-    psi = _phi_factor(model, n, hbar, order, x) * math.exp(exponent)
-    if psi != psi:  # hbar^2 phi_2 overflowed where exp(exponent) underflowed
-        raise DomainExceeded(f"psi overflows at hbar = {hbar}, x = {x}", x=x)
-    return psi
+    return _psi(model, n, hbar, order, x, s0_closed(model, x),
+                s1_closed(model, x) if order >= 1 else math.nan,
+                s2_closed(model, x) if order >= 2 else math.nan,
+                phi0_closed(model, n, x))
 
 
 def wavefunction_factors(model: Kappa1DModel, n: int, hbar: float,
@@ -283,15 +286,19 @@ def wavefunction_factors(model: Kappa1DModel, n: int, hbar: float,
     quartic = model.kappa == 2
     order = 2 if quartic else 0
     for x in xs:
+        s0 = s0_closed(model, x)
+        s1 = s1_closed(model, x) if quartic else math.nan
+        s2 = s2_closed(model, x) if quartic else math.nan
+        phi0 = phi0_closed(model, n, x)
         rows["x"].append(float(x))
-        rows["S0"].append(s0_closed(model, x))
-        rows["S1"].append(s1_closed(model, x) if quartic else math.nan)
-        rows["S2"].append(s2_closed(model, x) if quartic else math.nan)
+        rows["S0"].append(s0)
+        rows["S1"].append(s1)
+        rows["S2"].append(s2)
         rows["Q"].append(q_closed(model, x) if quartic else math.nan)
-        rows["phi0"].append(phi0_closed(model, n, x))
+        rows["phi0"].append(phi0)
         rows["u1"].append(u1_closed(model, n, x)
                           if quartic and n >= 1 else math.nan)
         rows["u2"].append(u2_closed(model, n, x)
                           if quartic and n >= 1 else math.nan)
-        rows["psi"].append(evaluate_wavefunction(model, hbar, n, order, x))
+        rows["psi"].append(_psi(model, n, hbar, order, x, s0, s1, s2, phi0))
     return rows

@@ -12,9 +12,10 @@ which involves only lower slices of u.  So u is built one homogeneous slice
 at a time, forming just that slice of the product (an online or "relaxed"
 product: van der Hoeven, *Relax, but don't be too lazy*, 2002) and dividing
 each monomial x^k by sum_i k_i omega_i - shift.  A slice is integer
-numerators over one denominator, (L, [(k, n), ...]) as in PolySeries.graded,
-one per axis for a gradient; sources and products sum into one integer
-accumulator, divided by integer divisors into one Fraction each.  The
+numerators over one denominator at packed keys, (L, [(key, n), ...]) as in
+PolySeries.graded, one per axis for a gradient; sources and products sum
+into one integer accumulator, whose division by the integer divisors is
+again one canonical slice, so the solution is built as a view.  The
 nonlinear equation (1/2m)|grad S0|^2 = V has the same shape, with shift 0:
 
     E s_d = V_d - (1/2m) sum_{i+j=d+2; i,j>=3} grad s_i . grad s_j.
@@ -33,8 +34,9 @@ from math import lcm
 from .errors import (BadTruncation, DegenerateEigenvalue, ResonantDivisor,
                      TruncationTooSmall)
 from .model import OscillatorModel
-from .series import (PolySeries, add_product, dot_gradients, format_rational,
-                     grlex_key, integer_slice, widen)
+from .series import (MAX_TRUNC, SLOT_BITS, PolySeries, add_product, add_slice,
+                     canonical, derive, dot_gradients, format_rational,
+                     grlex_key, pack, unpack)
 
 
 class FormalAction:
@@ -64,54 +66,46 @@ class SternbergMap:
 
 def _gradient(part: tuple, dim: int) -> list:
     """Per-axis partial derivatives of one nonempty integer slice, as slices."""
-    grad: list[list] = [[] for _ in range(dim)]
-    for k, c in part[1]:
-        for i, e in enumerate(k):
-            if e:
-                grad[i].append((k[:i] + (e - 1,) + k[i + 1:], c * e))
-    return [(part[0], g) for g in grad]
+    return [derive(part, i) for i in range(dim)]
 
 
 def _add_dot(acc: list, ga: list, gb: list, scale) -> None:
-    """acc += scale * (ga . gb) for two integer gradients ([] if zero)."""
+    """acc += scale * (ga . gb) for two integer gradients."""
     for pa, pb in zip(ga, gb):
         add_product(acc, pa, pb, scale)
 
 
-def _add_slice(acc: list, part: tuple | None, scale) -> None:
-    """acc += scale * part for one integer slice."""
-    if part and scale:
-        f = widen(acc, part[0] * scale.denominator) * scale.numerator
-        for k, c in part[1]:
-            acc[1][k] = acc[1].get(k, 0) + f * c
-
-
 def _frequencies(omega, shift) -> tuple:
-    """(q, [q omega_i], q shift), q the lcm of their denominators."""
+    """(q, [(slot shift, q omega_i)], q shift), q the lcm of the denominators."""
     q = lcm(shift.denominator, *(w.denominator for w in omega))
-    return q, [(w * q).numerator for w in omega], (shift * q).numerator
+    return (q, [(SLOT_BITS * i, (w * q).numerator) for i, w in enumerate(omega)],
+            (shift * q).numerator)
 
 
-def _divide(acc: list, freq: tuple, free=None) -> tuple[dict, Fraction]:
+def _divide(acc: list, freq: tuple, free=None) -> tuple[tuple | None, Fraction]:
     """Solve (E - shift) u = acc on one slice in integers, ``freq`` as above.
 
-    Returns (u, obstruction): ``obstruction`` is the coefficient of acc at
-    ``free``, whose divisor vanishes and whose coefficient is left out of u.
-    Any other vanishing divisor on a nonzero coefficient raises
-    DegenerateEigenvalue, naming the first such monomial in grlex order.
+    Returns (u, obstruction): u is a canonical slice (None if zero) and
+    ``obstruction`` the coefficient of acc at the key ``free``, whose divisor
+    vanishes and whose coefficient is left out of u.  Any other vanishing
+    divisor on a nonzero coefficient raises DegenerateEigenvalue, naming the
+    first such monomial in grlex order.
     """
     den, nums = acc
     q, omega, shift = freq
-    divisors = {k: sum(e * w for e, w in zip(k, omega)) - shift
+    divisors = {k: sum((k >> s & MAX_TRUNC) * w for s, w in omega) - shift
                 for k, n in nums.items() if n and k != free}
-    resonant = [k for k, v in divisors.items() if not v]
+    resonant = [unpack(k, len(omega)) for k, v in divisors.items() if not v]
     if resonant:
         k = min(resonant, key=grlex_key)
         raise DegenerateEigenvalue(
             f"vanishing divisor on monomial {list(k)}: "
             f"sum k_i omega_i = {format_rational(Fraction(shift, q))}",
             monomial=list(k))
-    return ({k: Fraction(nums[k] * q, den * v) for k, v in divisors.items()},
+    # n / den divided by v / q is n q (M / v) / (den M), M = lcm of the v
+    m = lcm(*divisors.values())
+    return (canonical(den * m, [(k, nums[k] * q * (m // v))
+                                for k, v in divisors.items()]),
             Fraction(nums.get(free, 0), den))
 
 
@@ -133,31 +127,36 @@ def solve_transport(action: FormalAction, shift, trunc: int,
     dim = model.dim
     scale = Fraction(-1) / model.mass
     freq = _frequencies(model.omega, shift)
-    S0 = action.S0.graded()
-    field = [_gradient(S0[a], dim) if a in S0 else []
-             for a in range(action.S0.trunc + 1)]
+    # grad h_a for the nonempty slices a >= 3 of S0 = q + h
+    field = {a: _gradient(part, dim)
+             for a, part in action.S0.graded().items() if a >= 3}
     sources = [(series.graded(), weight) for series, weight in rhs]
     pin = seed if seed is not None else free
     pin_degree = sum(pin) if pin is not None else -1
-    terms: dict = {}
-    grads: list[list] = []
+    pin_key = pack(pin) if pin is not None else None
+    view: dict = {}
+    grads: dict = {}  # degree b >= 1 -> grad u_b, nonempty slices only
     lam = Fraction(0)
     for d in range(trunc + 1):
         acc = [1, {}]
         for graded, weight in sources:
-            _add_slice(acc, graded.get(d), weight)
-        for b in range(max(1, d + 3 - len(field)), d):
-            _add_dot(acc, field[d + 2 - b], grads[b], scale)
-        part, obstruction = _divide(acc, freq, pin if d == pin_degree else None)
+            add_slice(acc, graded.get(d), weight)
+        for b, grad in grads.items():
+            if (a := field.get(d + 2 - b)) is not None:
+                _add_dot(acc, a, grad, scale)
+        part, obstruction = _divide(acc, freq, pin_key if d == pin_degree else None)
         if d == pin_degree:
             lam = -obstruction
-            if seed is not None:
-                part[seed] = Fraction(1)
+            if seed is not None:  # coefficient 1 = L / L keeps u canonical
+                den, nums = part or (1, [])
+                part = den, nums + [(pin_key, den)]
             if kernel is not None:  # lam kernel enters above |free| only
                 sources.append((kernel.graded(), lam))
-        terms.update(part)
-        grads.append(_gradient(integer_slice(part.items()), dim) if part else [])
-    return PolySeries(dim, trunc, terms), lam
+        if part:
+            view[d] = part
+            if d:
+                grads[d] = _gradient(part, dim)
+    return PolySeries._from_view(dim, trunc, view), lam
 
 
 def solve_hj_formal(model: OscillatorModel, trunc: int) -> FormalAction:
@@ -168,18 +167,19 @@ def solve_hj_formal(model: OscillatorModel, trunc: int) -> FormalAction:
     V = model.potential_series(trunc).graded()
     half, whole = Fraction(-1, 2) / model.mass, Fraction(-1) / model.mass
     freq = _frequencies(model.omega, 0)
-    terms: dict = {}
+    view: dict = {}
     grads = [[]] * 3  # only the slices of degree >= 3 enter the sums
     for d in range(3, trunc + 1):
         acc = [1, {}]
-        _add_slice(acc, V.get(d), 1)
+        add_slice(acc, V.get(d))
         for i in range(3, (d + 2) // 2 + 1):
             _add_dot(acc, grads[i], grads[d + 2 - i], half if 2 * i == d + 2 else whole)
         part, _ = _divide(acc, freq)
-        terms.update(part)
-        grads.append(_gradient(integer_slice(part.items()), model.dim)
-                     if part else [])
-    S0 = model.quadratic_action(trunc) + PolySeries(model.dim, trunc, terms)
+        if part:
+            view[d] = part
+        grads.append(_gradient(part, model.dim) if part else [])
+    S0 = (model.quadratic_action(trunc)
+          + PolySeries._from_view(model.dim, trunc, view))
     return FormalAction(model, S0)
 
 

@@ -75,7 +75,7 @@ class OscillatorModel:
     @classmethod
     def from_json(cls, data: Mapping) -> "OscillatorModel":
         try:
-            dim = int(data["dim"])
+            dim = _size(data["dim"], "dim")
             mass = parse_rational(data["mass"])
             omega = [parse_rational(w) for w in data["omega"]]
             a_data = data.get("A") or {"terms": []}
@@ -84,7 +84,8 @@ class OscillatorModel:
             if any(type(e) is not int for k in terms for e in k):
                 raise ValueError("exponents must be integers")
             degrees = {k: sum(k) for k in terms}
-            trunc = int(a_data.get("trunc", max(degrees.values(), default=3)))
+            trunc = _size(a_data.get("trunc", max(degrees.values(), default=3)),
+                          "A.trunc")
         except (AttributeError, KeyError, TypeError, ValueError,
                 ZeroDivisionError) as exc:
             raise ModelFormatError(f"malformed model JSON: {exc}") from exc
@@ -98,6 +99,13 @@ class OscillatorModel:
                     f"A.trunc = {trunc}", term=list(k), trunc=trunc)
         anharmonic = PolySeries(dim, trunc, terms)
         return cls(mass, omega, anharmonic)
+
+
+def _size(value, name: str) -> int:
+    """A JSON integer; a float such as 1.5 or a boolean is not a size."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def kappa_model(kappa: int, g=1, mass=1, omega=1) -> OscillatorModel:

@@ -8,26 +8,38 @@ is equality of the underlying maps.  Mixed-truncation operations truncate at
 the minimum of the operand truncations.  Serialization uses graded
 lexicographic term order, with rationals as ``"p/q"`` strings.
 
-Products run in integers: a series caches a graded integer view (each
-nonempty slice as integer numerators over the lcm of its denominators), and
-``__mul__`` sums slice-pair products per output degree into one ``Fraction``
-per coefficient.  Arithmetic results skip the constructor's per-term checks.
+Arithmetic runs on a graded integer view.  A monomial x^k is one packed
+integer key, sum_i k_i << (SLOT_BITS i) (Monagan and Pearce, *Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors*, 2007),
+so a product key is one addition and d/dx_i subtracts 1 << (SLOT_BITS i).
+Each nonempty degree-d slice is (L, [(key, n), ...]): the coefficient at key
+is n / L, no n is zero and gcd(L, *ns) = 1, so L is the lcm of the reduced
+denominators.  Sums, products, derivatives, scalings and truncations build
+their result's view directly; the Fraction map is built from it only when
+``items``, ``coefficient``, evaluation, JSON, equality or hashing read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AxisOutOfRange, DegreeOutOfRange, DimensionMismatch
 
 MultiIndex = tuple
 
+# Width of one exponent slot of a packed key.  No operation makes an
+# exponent above the truncation, so every exponent fits its slot while
+# trunc <= MAX_TRUNC, which is also the mask of one slot.
+SLOT_BITS = 16
+MAX_TRUNC = (1 << SLOT_BITS) - 1
+
 
 def parse_rational(text) -> Fraction:
     """Parse a rational from a ``"p/q"`` (or integer) string."""
+    if isinstance(text, bool):
+        raise ValueError(f"{text} is a boolean, not a rational")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -48,10 +60,34 @@ def grlex_key(index: MultiIndex):
     return (sum(index), tuple(-e for e in index))
 
 
-def integer_slice(terms) -> tuple[int, list]:
-    """``(L, [(k, n), ...])``: each (k, c) of ``terms`` as n / L, L = lcm."""
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+def pack(index: Iterable[int]) -> int:
+    """The packed key of a multi-index."""
+    return sum(e << (SLOT_BITS * i) for i, e in enumerate(index))
+
+
+def unpack(key: int, dim: int) -> MultiIndex:
+    """The multi-index of a packed key."""
+    return tuple(key >> (SLOT_BITS * i) & MAX_TRUNC for i in range(dim))
+
+
+def check_trunc(trunc: int) -> int:
+    """``trunc`` if a truncation degree that packed keys can hold."""
+    if not 0 <= trunc <= MAX_TRUNC:
+        raise DegreeOutOfRange(
+            f"truncation degree must be in [0, {MAX_TRUNC}], got {trunc}")
+    return int(trunc)
+
+
+def canonical(den: int, terms: list) -> tuple | None:
+    """The slice (L, terms) of the nonzero ``terms`` (key, n) at n / den,
+    with L and every n divided by gcd(den, *ns); None when ``terms`` is
+    empty."""
+    if not terms:
+        return None
+    g = gcd(den, *(n for _, n in terms))
+    if g == 1:
+        return den, terms
+    return den // g, [(k, n // g) for k, n in terms]
 
 
 def widen(acc: list, den: int) -> int:
@@ -64,29 +100,50 @@ def widen(acc: list, den: int) -> int:
     return acc[0] // den
 
 
+def slice_of(acc: list) -> tuple | None:
+    """The canonical slice of an accumulator ``[L, {k: n}]``."""
+    return canonical(acc[0], [(k, n) for k, n in acc[1].items() if n])
+
+
+def add_slice(acc: list, part: tuple | None, scale=1) -> None:
+    """acc += scale * part for one integer slice."""
+    if part and scale:
+        f = widen(acc, part[0] * scale.denominator) * scale.numerator
+        nums = acc[1]
+        for k, n in part[1]:
+            nums[k] = nums.get(k, 0) + f * n
+
+
 def add_product(acc: list, a: tuple, b: tuple, scale=1) -> None:
     """acc += scale * a * b for integer slices: the one slice-product loop."""
     f = widen(acc, a[0] * b[0] * scale.denominator) * scale.numerator
     nums = acc[1]
+    get = nums.get
     for ka, na in a[1]:
         na *= f
         for kb, nb in b[1]:
-            k = tuple(map(add, ka, kb))
-            nums[k] = nums.get(k, 0) + na * nb
+            k = ka + kb
+            nums[k] = get(k, 0) + na * nb
+
+
+def derive(part: tuple, axis: int) -> tuple:
+    """d/dx_axis of one slice, over the same denominator (not reduced)."""
+    shift = SLOT_BITS * axis
+    one = 1 << shift
+    return part[0], [(k - one, n * e) for k, n in part[1]
+                     if (e := k >> shift & MAX_TRUNC)]
 
 
 class PolySeries:
     """Immutable truncated formal power series with exact rational terms."""
 
-    __slots__ = ("dim", "trunc", "_terms", "_view")
+    __slots__ = ("dim", "trunc", "_map", "_view")
 
     def __init__(self, dim: int, trunc: int, terms: Mapping[MultiIndex, Fraction] | None = None):
         if dim < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
-        if trunc < 0:
-            raise DegreeOutOfRange(f"truncation degree must be >= 0, got {trunc}")
         self.dim = int(dim)
-        self.trunc = int(trunc)
+        self.trunc = check_trunc(trunc)
         clean: dict[MultiIndex, Fraction] = {}
         if terms:
             for k, c in terms.items():
@@ -101,13 +158,14 @@ class PolySeries:
                 c = Fraction(c)
                 if c != 0:
                     clean[k] = c
-        self._terms, self._view = clean, None
+        self._map, self._view = clean, None
 
     @classmethod
-    def _trusted(cls, dim: int, trunc: int, terms: dict) -> "PolySeries":
-        """Wrap a clean map (no zeros, degrees <= trunc) without copying it."""
+    def _from_view(cls, dim: int, trunc: int, view: dict) -> "PolySeries":
+        """Wrap a view (canonical nonempty slices of degree <= trunc, in
+        increasing degree) without copying it."""
         out = object.__new__(cls)
-        out.dim, out.trunc, out._terms, out._view = dim, trunc, terms, None
+        out.dim, out.trunc, out._map, out._view = dim, trunc, None, view
         return out
 
     # -- constructors ------------------------------------------------------
@@ -127,6 +185,14 @@ class PolySeries:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def _terms(self) -> dict[MultiIndex, Fraction]:
+        """The Fraction map, built from the view on first use."""
+        if self._map is None:
+            self._map = {unpack(k, self.dim): Fraction(n, den)
+                         for den, part in self._view.values() for k, n in part}
+        return self._map
+
     def items(self) -> Iterator[tuple[MultiIndex, Fraction]]:
         return iter(sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0])))
 
@@ -138,22 +204,24 @@ class PolySeries:
         return self._terms.get(tuple([0] * self.dim), Fraction(0))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.graded()
 
     def max_degree(self) -> int:
         """Largest total degree with a nonzero term (0 for the zero series)."""
-        if not self._terms:
-            return 0
-        return max(sum(k) for k in self._terms)
+        return max(self.graded(), default=0)
 
     def graded(self) -> dict[int, tuple[int, list]]:
-        """The cached integer view: degree d -> :func:`integer_slice` of its
-        terms, nonempty slices in increasing d.  Equality ignores it."""
+        """The integer view: degree d -> canonical slice (L, [(key, n), ...])
+        of its terms, nonempty slices in increasing d.  Equality ignores it."""
         if self._view is None:
             slices: dict = {}
             for k, c in self._terms.items():
-                slices.setdefault(sum(k), []).append((k, c))
-            self._view = {d: integer_slice(slices[d]) for d in sorted(slices)}
+                slices.setdefault(sum(k), []).append((pack(k), c))
+            self._view = {}
+            for d in sorted(slices):
+                den = lcm(*(c.denominator for _, c in slices[d]))
+                self._view[d] = (den, [(k, c.numerator * (den // c.denominator))
+                                       for k, c in slices[d]])
         return self._view
 
     def __eq__(self, other) -> bool:
@@ -177,19 +245,33 @@ class PolySeries:
             raise DimensionMismatch(
                 f"series dimensions differ: {self.dim} vs {other.dim}")
 
+    def _map_slices(self, trunc: int, fn) -> "PolySeries":
+        """The series of the slices ``fn(d, slice)`` (None drops one)."""
+        return PolySeries._from_view(self.dim, trunc, {
+            d: out for d, part in self.graded().items()
+            if (out := fn(d, part)) is not None})
+
     def __add__(self, other: "PolySeries") -> "PolySeries":
         self._require_same_dim(other)
         trunc = min(self.trunc, other.trunc)
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            terms[k] = terms[k] + c if k in terms else c
-        cut = max(self.trunc, other.trunc) > trunc
-        return PolySeries._trusted(self.dim, trunc, {
-            k: c for k, c in terms.items() if c and not (cut and sum(k) > trunc)})
+        a, b = self.graded(), other.graded()
+        view = {}
+        for d in sorted(a.keys() | b.keys()):
+            if d > trunc:
+                break
+            if d in a and d in b:
+                acc = [1, {}]
+                add_slice(acc, a[d])
+                add_slice(acc, b[d])
+                if part := slice_of(acc):
+                    view[d] = part
+            else:
+                view[d] = a.get(d) or b[d]
+        return PolySeries._from_view(self.dim, trunc, view)
 
     def __neg__(self) -> "PolySeries":
-        return PolySeries._trusted(self.dim, self.trunc,
-                                   {k: -c for k, c in self._terms.items()})
+        return self._map_slices(self.trunc, lambda d, part: (
+            part[0], [(k, -n) for k, n in part[1]]))
 
     def __sub__(self, other: "PolySeries") -> "PolySeries":
         return self + (-other)
@@ -197,25 +279,27 @@ class PolySeries:
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_same_dim(other)
         trunc = min(self.trunc, other.trunc)
-        acc: dict[int, list] = {}  # degree -> [L, {k: numerator over L}]
+        acc: dict[int, list] = {}  # degree -> [L, {key: numerator over L}]
         for da, sa in self.graded().items():
             for db, sb in other.graded().items():
                 if da + db > trunc:
                     break
                 add_product(acc.setdefault(da + db, [1, {}]), sa, sb)
-        return PolySeries._trusted(self.dim, trunc, {
-            k: Fraction(n, q) for q, ns in acc.values() for k, n in ns.items() if n})
+        return PolySeries._from_view(self.dim, trunc, {
+            d: part for d in sorted(acc) if (part := slice_of(acc[d]))})
 
     def scale(self, value) -> "PolySeries":
         value = Fraction(value)
         if value == 0:
             return PolySeries.zero(self.dim, self.trunc)
-        return PolySeries._trusted(self.dim, self.trunc,
-                                   {k: c * value for k, c in self._terms.items()})
+        p, q = value.numerator, value.denominator
+        return self._map_slices(self.trunc, lambda d, part: canonical(
+            part[0] * q, [(k, n * p) for k, n in part[1]]))
 
     def with_truncation(self, trunc: int) -> "PolySeries":
         """Restrict (or relabel upward) the truncation degree."""
-        return PolySeries(self.dim, trunc, self._terms)
+        trunc = check_trunc(trunc)
+        return self._map_slices(trunc, lambda d, part: part if d <= trunc else None)
 
     # -- calculus ----------------------------------------------------------
 
@@ -224,25 +308,33 @@ class PolySeries:
             raise AxisOutOfRange(
                 f"axis {axis} out of range for dimension {self.dim}")
         # k -> k - e_axis is one-to-one, so nothing collides or cancels
-        return PolySeries._trusted(self.dim, max(self.trunc - 1, 0), {
-            k[:axis] + (k[axis] - 1,) + k[axis + 1:]: c * k[axis]
-            for k, c in self._terms.items() if k[axis]})
+        return PolySeries._from_view(self.dim, max(self.trunc - 1, 0), {
+            d - 1: out for d, part in self.graded().items()
+            if d and (out := canonical(*derive(part, axis)))})
 
     def gradient(self) -> list["PolySeries"]:
         return [self.partial_derivative(i) for i in range(self.dim)]
 
     def laplacian(self) -> "PolySeries":
-        out = PolySeries.zero(self.dim, max(self.trunc - 2, 0))
-        for i in range(self.dim):
-            out = out + self.partial_derivative(i).partial_derivative(i)
-        return out
+        view = {}
+        for d, (den, part) in self.graded().items():
+            nums: dict = {}
+            for i in range(self.dim):
+                shift = SLOT_BITS * i
+                two = 2 << shift
+                for k, n in part:
+                    if (e := k >> shift & MAX_TRUNC) > 1:
+                        j = k - two
+                        nums[j] = nums.get(j, 0) + n * e * (e - 1)
+            if part := slice_of([den, nums]):
+                view[d - 2] = part
+        return PolySeries._from_view(self.dim, max(self.trunc - 2, 0), view)
 
     def homogeneous_component(self, degree: int) -> "PolySeries":
         if not (0 <= degree <= self.trunc):
             raise DegreeOutOfRange(
                 f"degree {degree} outside [0, {self.trunc}]")
-        return PolySeries._trusted(self.dim, self.trunc, {
-            k: c for k, c in self._terms.items() if sum(k) == degree})
+        return self._map_slices(self.trunc, lambda d, part: part if d == degree else None)
 
     # -- evaluation --------------------------------------------------------
 

@@ -237,9 +237,18 @@ class TestExitCodes:
         (model_1d(A={"terms": [{"k": ["a"], "c": "1"}]}), "ModelFormatError"),
         (model_1d(A={"terms": [{"k": [4.7], "c": "1"}]}), "ModelFormatError"),
         (model_1d(A=[1]), "ModelFormatError"),
+        (model_1d(dim=1.5), "ModelFormatError"),
+        (model_1d(dim=True), "ModelFormatError"),
+        (model_1d(A={"trunc": 4.9, "terms": [{"k": [4], "c": "1"}]}),
+         "ModelFormatError"),
+        (model_1d(A={"terms": [{"k": [4], "c": True}]}), "ModelFormatError"),
+        (model_1d(A={"trunc": 1 << 16, "terms": [{"k": [4], "c": "1"}]}),
+         "DegreeOutOfRange"),
     ], ids=["undecodable", "zero-denominator", "mass-0", "omega-negative",
             "degree-2-term", "two-index-term", "text-exponent",
-            "fractional-exponent", "A-not-object"])
+            "fractional-exponent", "A-not-object", "fractional-dim",
+            "boolean-dim", "fractional-trunc", "boolean-coefficient",
+            "trunc-beyond-a-slot"])
     def test_bad_model_file_is_2_with_json(self, capsys, tmp_path, content, error):
         path = tmp_path / "model.json"
         path.write_bytes(content)
@@ -444,8 +453,8 @@ class TestExitCodes:
         assert json.loads(err)["error"] == error
 
     @pytest.mark.parametrize("series, index", [
-        ([None], 0), (["1/2", "1/0"], 1), ({"a": 1}, None),
-    ], ids=["null", "zero-denominator", "not-a-list"])
+        ([None], 0), (["1/2", "1/0"], 1), ({"a": 1}, None), (["1/2", True], 1),
+    ], ids=["null", "zero-denominator", "not-a-list", "boolean"])
     def test_bad_series_file_is_2_with_json(self, capsys, tmp_path, series, index):
         path = tmp_path / "series.json"
         path.write_text(json.dumps(series))

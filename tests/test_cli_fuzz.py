@@ -21,7 +21,10 @@ FLAG = None  # an option that takes no value
 SEPARATORS = {"--grid": ":", "--box": ":", "--point": ",", "--pade": ",",
               "--levels": ","}
 
-MODELS = ["builtin:quartic", "builtin:sectic", "MODEL2D"]
+# BADDIM and BADTRUNC hold a fractional dim and A.trunc
+MODELS = ["builtin:quartic", "builtin:sectic", "MODEL2D", "BADDIM", "BADTRUNC"]
+# input files that no run may accept
+BAD_FILES = {"BADDIM", "BADTRUNC", "BADSERIES", "BOOLSERIES"}
 POINTS = ["0.5", "-0.8", "1.5", "0.5,-0.3"]
 # Valid values stop where only the run time would grow: orders <= 8, grids
 # of at most 3 points, --nodes <= 64 and a backward --t-span <= 2.  The
@@ -43,7 +46,8 @@ GRAMMAR = {
              "--hbar": ["0.5", "1"], "--nodes": NODES, "--threads": ["2"]},
     "flow": {"--model": MODELS, "--point": POINTS, "--t-span": ["1", "2"],
              "--nodes": NODES, "--forward": FLAG},
-    "resum": {"--series": ["builtin:quartic-ground", "SERIES", "BADSERIES"],
+    "resum": {"--series": ["builtin:quartic-ground", "SERIES", "BADSERIES",
+                           "BOOLSERIES"],
               "--mu": ["0.05", "0.1", "1"], "--pade": ["2,2", "5,5"],
               "--kappa": ["2"], "--n": ["0", "1"], "--basis": ["100", "200"]},
     "sternberg": {"--model": MODELS, "--degree": ["3", "7"]},
@@ -87,7 +91,17 @@ def files(tmp_path_factory):
     series.write_text(json.dumps(["1/2", "3/4", "-21/8", "333/16", "-30885/128"]))
     bad = root / "bad-series.json"
     bad.write_text(json.dumps(["1/2", "3/4", None, "1/0"]))
-    return {"MODEL2D": str(model), "SERIES": str(series), "BADSERIES": str(bad)}
+    boolean = root / "boolean-series.json"
+    boolean.write_text(json.dumps(["1/2", True, "3/4"]))
+    quartic = {"mass": "1", "omega": ["1"], "A": {"terms": [{"k": [4], "c": "1"}]}}
+    bad_dim = root / "bad-dim.json"
+    bad_dim.write_text(json.dumps({**quartic, "dim": 1.5}))
+    bad_trunc = root / "bad-trunc.json"
+    bad_trunc.write_text(json.dumps({**quartic, "dim": 1, "A": {
+        "trunc": 4.9, "terms": [{"k": [4], "c": "1"}]}}))
+    return {"MODEL2D": str(model), "SERIES": str(series), "BADSERIES": str(bad),
+            "BOOLSERIES": str(boolean), "BADDIM": str(bad_dim),
+            "BADTRUNC": str(bad_trunc)}
 
 
 def reject_constant(name):
@@ -117,6 +131,7 @@ def assert_finite_csv(text):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs())
 def test_every_drawn_argv_exits_0_1_or_2(files, argv):
+    rejected = BAD_FILES.intersection(argv)
     argv = [files.get(a, a) for a in argv]
     if argv[0] == "flow" and "--t-span" in argv and "--forward" not in argv:
         assume(argv[argv.index("--t-span") + 1] != "1e308")
@@ -128,6 +143,7 @@ def test_every_drawn_argv_exits_0_1_or_2(files, argv):
     out, err = out.getvalue(), err.getvalue()
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2), argv
+    assert not (rejected and code == 0), argv
     if code == 2:
         assert out == ""
         lines = err.strip().splitlines()

@@ -1,5 +1,6 @@
 """Exact-rational sparse polynomial series: arithmetic, calculus, JSON."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,16 @@ from anharmonic.errors import (
     DegreeOutOfRange,
     DimensionMismatch,
 )
+from anharmonic.hjformal import solve_hj_formal
+from anharmonic.model import kappa_model
 from anharmonic.series import (
+    MAX_TRUNC,
     PolySeries,
     dot_gradients,
     format_rational,
+    pack,
     parse_rational,
+    unpack,
 )
 
 
@@ -230,16 +236,48 @@ def graded_series(draw, dim):
     return PolySeries(dim, trunc, terms)
 
 
+def naive_derivative(a, axis):
+    trunc = max(a.trunc - 1, 0)
+    return PolySeries(a.dim, trunc, {
+        k[:axis] + (k[axis] - 1,) + k[axis + 1:]: c * k[axis]
+        for k, c in a.items() if k[axis]})
+
+
+def naive_laplacian(a):
+    terms = {}
+    for k, c in a.items():
+        for i, e in enumerate(k):
+            if e > 1:
+                j = k[:i] + (e - 2,) + k[i + 1:]
+                terms[j] = terms.get(j, Fraction(0)) + c * e * (e - 1)
+    return PolySeries(a.dim, max(a.trunc - 2, 0), terms)
+
+
+def assert_view_is_canonical(x):
+    """The view of a computed series is the one its terms give: per degree,
+    numerators over the lcm of the reduced denominators."""
+    fresh = PolySeries(x.dim, x.trunc, dict(x.items())).graded()
+    view = x.graded()
+    assert list(view) == sorted(view)
+    assert ({d: (den, dict(nums)) for d, (den, nums) in view.items()}
+            == {d: (den, dict(nums)) for d, (den, nums) in fresh.items()})
+
+
+# dim 4 packs keys wider than 63 bits
+_view_dims = st.integers(min_value=1, max_value=4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mul_matches_naive_mul(data):
-    dim = data.draw(st.integers(min_value=1, max_value=3))
+    dim = data.draw(_view_dims)
     a, b = data.draw(graded_series(dim)), data.draw(graded_series(dim))
     zero = PolySeries.zero(dim, data.draw(st.integers(min_value=0, max_value=9)))
     for x, y in ((a, b), (b, a), (a, a), (a, zero), (zero, b), (a + b, a - b)):
         product, oracle = x * y, naive_mul(x, y)
         assert product == oracle
         assert hash(product) == hash(oracle)
+        assert_view_is_canonical(product)
     # (a + b)(a - b) = a^2 - b^2: cross terms cancel exactly in the accumulator
     assert (a + b) * (a - b) == a * a - b * b
 
@@ -247,10 +285,36 @@ def test_mul_matches_naive_mul(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_add_matches_naive_add(data):
-    dim = data.draw(st.integers(min_value=1, max_value=3))
+    dim = data.draw(_view_dims)
     a, b = data.draw(graded_series(dim)), data.draw(graded_series(dim))
     for x, y in ((a, b), (a, -a), (a, b.scale(-1))):
-        assert x + y == naive_add(x, y)
+        total = x + y
+        assert total == naive_add(x, y)
+        assert hash(total) == hash(naive_add(x, y))
+        assert_view_is_canonical(total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_view_calculus_matches_naive_oracles(data):
+    dim = data.draw(_view_dims)
+    a = data.draw(graded_series(dim))
+    value = data.draw(st.fractions(max_denominator=2**70).filter(bool))
+    trunc = data.draw(st.integers(min_value=0, max_value=11))
+    cases = [(a.partial_derivative(i), naive_derivative(a, i)) for i in range(dim)]
+    cases += [
+        (a.laplacian(), naive_laplacian(a)),
+        (a.scale(value), PolySeries(dim, a.trunc, {k: c * value for k, c in a.items()})),
+        (-a, PolySeries(dim, a.trunc, {k: -c for k, c in a.items()})),
+        (a.with_truncation(trunc), PolySeries(dim, trunc, dict(a.items()))),
+        (a.scale(0), PolySeries.zero(dim, a.trunc)),
+    ]
+    for got, oracle in cases:
+        assert got.trunc == oracle.trunc
+        assert got == oracle
+        assert hash(got) == hash(oracle)
+        assert_view_is_canonical(got)
+    assert a.gradient() == [naive_derivative(a, i) for i in range(dim)]
 
 
 class TestIntegerKernels:
@@ -269,10 +333,13 @@ class TestIntegerKernels:
         assert list(total.items()) == [((0, 1), Fraction(1, 3)), ((0, 2), 5)]
 
     def test_graded_view(self):
+        """Slices hold packed keys: exponent i in bits [16 i, 16 i + 16)."""
         a = S(2, 5, {(1, 0): "1/2", (0, 1): "1/3", (3, 0): "5/4", (1, 3): 7})
-        assert a.graded() == {1: (6, [((1, 0), 3), ((0, 1), 2)]),
-                              3: (4, [((3, 0), 5)]),
-                              4: (1, [((1, 3), 7)])}
+        assert a.graded() == {1: (6, [(1, 3), (1 << 16, 2)]),
+                              3: (4, [(3, 5)]),
+                              4: (1, [(1 + (3 << 16), 7)])}
+        assert [pack(k) for k in [(1, 0), (0, 1), (1, 3)]] == [1, 1 << 16, 1 + (3 << 16)]
+        assert unpack(1 + (3 << 16), 2) == (1, 3)
         assert a.graded() is a.graded()  # cached
         assert PolySeries.zero(2, 5).graded() == {}
 
@@ -289,6 +356,39 @@ class TestIntegerKernels:
             assert b * derived == naive_mul(b, derived)
         assert a.graded() == view
         assert a * b == before == naive_mul(a, b)
+
+    def test_view_built_and_term_built_series_are_equal(self):
+        terms = {(1, 0, 2): Fraction(1, 2), (0, 3, 0): Fraction(-2, 3), (0, 0, 0): 5}
+        from_terms = PolySeries(3, 4, terms)
+        from_view = PolySeries._from_view(3, 4, {
+            0: (1, [(0, 5)]),
+            3: (6, [(pack((1, 0, 2)), 3), (pack((0, 3, 0)), -4)])})
+        assert from_view == from_terms and from_terms == from_view
+        assert hash(from_view) == hash(from_terms)
+        assert len({from_view, from_terms}) == 1
+        assert dict(from_view.items()) == terms
+        assert from_view.to_json() == from_terms.to_json()
+        assert from_view.graded() == from_terms.graded()
+
+    def test_truncation_beyond_a_slot_raises_before_allocating(self):
+        beyond = MAX_TRUNC + 1
+        tracemalloc.start()
+        try:
+            for make in (lambda: PolySeries(2, beyond),
+                         lambda: S(2, 4, {(1, 1): 1}).with_truncation(beyond),
+                         lambda: solve_hj_formal(kappa_model(2), beyond)):
+                with pytest.raises(DegreeOutOfRange):
+                    make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the top exponent of the largest truncation still fits its slot
+        top = PolySeries.monomial((0, MAX_TRUNC), 1, MAX_TRUNC)
+        assert unpack(pack((0, MAX_TRUNC)), 2) == (0, MAX_TRUNC)
+        assert (top * PolySeries.constant(2, 2, MAX_TRUNC)).coefficient(
+            (0, MAX_TRUNC)) == 2
+        assert top.partial_derivative(1).coefficient((0, MAX_TRUNC - 1)) == MAX_TRUNC
 
     def test_equality_and_hash_ignore_the_view(self):
         a = S(1, 4, {(2,): "1/2"})
