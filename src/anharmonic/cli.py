@@ -202,7 +202,7 @@ def _cmd_scan(args):
     if engine == "auto":
         engine = "closed" if builtin_kappa(model) is not None else "variational"
     if engine == "closed":
-        g = float(next(iter(dict(model.anharmonic.items()).values())))
+        g = float(next(model.anharmonic.items())[1])
         closed = Kappa1DModel(mass=float(model.mass), omega0=float(model.omega[0]),
                               g=g, kappa=_require_kappa(model))
         try:

@@ -34,9 +34,9 @@ from math import lcm
 from .errors import (BadTruncation, DegenerateEigenvalue, ResonantDivisor,
                      TruncationTooSmall)
 from .model import OscillatorModel
-from .series import (MAX_TRUNC, SLOT_BITS, PolySeries, add_product, add_slice,
-                     canonical, derive, dot_gradients, format_rational,
-                     grlex_key, pack, unpack)
+from .series import (PolySeries, add_product, add_slice, canonical, derive,
+                     dot_gradients, format_rational, grlex_key, pack, unpack,
+                     weighted_degrees)
 
 
 class FormalAction:
@@ -76,50 +76,49 @@ def _add_dot(acc: list, ga: list, gb: list, scale) -> None:
 
 
 def _frequencies(omega, shift) -> tuple:
-    """(q, [(slot shift, q omega_i)], q shift), q the lcm of the denominators."""
+    """(q, [q omega_i], q shift), q the lcm of the denominators."""
     q = lcm(shift.denominator, *(w.denominator for w in omega))
-    return (q, [(SLOT_BITS * i, (w * q).numerator) for i, w in enumerate(omega)],
-            (shift * q).numerator)
+    return q, [(w * q).numerator for w in omega], (shift * q).numerator
 
 
-def _divide(acc: list, freq: tuple, free=None) -> tuple[tuple | None, Fraction]:
+def _divide(acc: list, freq: tuple, pin=None) -> tuple[tuple | None, Fraction]:
     """Solve (E - shift) u = acc on one slice in integers, ``freq`` as above.
 
     Returns (u, obstruction): u is a canonical slice (None if zero) and
-    ``obstruction`` the coefficient of acc at the key ``free``, whose divisor
+    ``obstruction`` the coefficient of acc at the key ``pin``, whose divisor
     vanishes and whose coefficient is left out of u.  Any other vanishing
     divisor on a nonzero coefficient raises DegenerateEigenvalue, naming the
     first such monomial in grlex order.
     """
     den, nums = acc
     q, omega, shift = freq
-    divisors = {k: sum((k >> s & MAX_TRUNC) * w for s, w in omega) - shift
-                for k, n in nums.items() if n and k != free}
-    resonant = [unpack(k, len(omega)) for k, v in divisors.items() if not v]
-    if resonant:
-        k = min(resonant, key=grlex_key)
+    keys = [k for k, n in nums.items() if n and k != pin]
+    divisors = [v - shift for v in weighted_degrees(keys, omega)]
+    if 0 in divisors:
+        k = min((unpack(k, len(omega)) for k, v in zip(keys, divisors) if not v),
+                key=grlex_key)
         raise DegenerateEigenvalue(
             f"vanishing divisor on monomial {list(k)}: "
             f"sum k_i omega_i = {format_rational(Fraction(shift, q))}",
             monomial=list(k))
     # n / den divided by v / q is n q (M / v) / (den M), M = lcm of the v
-    m = lcm(*divisors.values())
+    m = lcm(*divisors)
     return (canonical(den * m, [(k, nums[k] * q * (m // v))
-                                for k, v in divisors.items()]),
-            Fraction(nums.get(free, 0), den))
+                                for k, v in zip(keys, divisors)]),
+            Fraction(nums.get(pin, 0), den))
 
 
 def solve_transport(action: FormalAction, shift, trunc: int,
                     rhs=(), seed: tuple | None = None,
-                    free: tuple | None = None, kernel: PolySeries | None = None):
+                    kernel: PolySeries | None = None):
     """Solve (1/m) grad S0 . grad u - shift u = rhs + lam kernel through
     degree ``trunc``; returns (u, lam).  ``rhs`` lists (series, weight) pairs.
 
-    ``seed`` puts coefficient 1 on that monomial (its divisor vanishes).
-    ``free`` keeps coefficient 0 on it and fixes lam so that its equation
-    holds; ``kernel`` must solve the equation with rhs = 0 and be exactly
-    x^free through degree |free|.  Without a kernel lam enters only the
-    equation of ``free`` itself, which is exact for free = 0 and kernel = 1.
+    Exactly one of ``seed`` and ``kernel`` pins a monomial whose divisor
+    vanishes.  ``seed`` (a multi-index) puts coefficient 1 on it.  ``kernel``
+    must solve the equation with rhs = 0 and have that monomial, with
+    coefficient 1, as its whole lowest slice; u keeps coefficient 0 on it,
+    and lam is fixed so that its equation holds.
     Slice d of u uses S0 through degree d + 2 - p, with p >= 1 the lowest
     nonzero degree of u, so u is reliable while trunc <= S0.trunc + p - 2.
     """
@@ -131,9 +130,10 @@ def solve_transport(action: FormalAction, shift, trunc: int,
     field = {a: _gradient(part, dim)
              for a, part in action.S0.graded().items() if a >= 3}
     sources = [(series.graded(), weight) for series, weight in rhs]
-    pin = seed if seed is not None else free
-    pin_degree = sum(pin) if pin is not None else -1
-    pin_key = pack(pin) if pin is not None else None
+    if seed is not None:
+        pin_degree, pin_key = sum(seed), pack(seed)
+    else:  # the kernel's lowest slice is (1, [(pinned key, 1)])
+        pin_degree, (_, [(pin_key, _)]) = next(iter(kernel.graded().items()))
     view: dict = {}
     grads: dict = {}  # degree b >= 1 -> grad u_b, nonempty slices only
     lam = Fraction(0)
@@ -150,7 +150,7 @@ def solve_transport(action: FormalAction, shift, trunc: int,
             if seed is not None:  # coefficient 1 = L / L keeps u canonical
                 den, nums = part or (1, [])
                 part = den, nums + [(pin_key, den)]
-            if kernel is not None:  # lam kernel enters above |free| only
+            else:  # lam kernel enters above the pinned degree only
                 sources.append((kernel.graded(), lam))
         if part:
             view[d] = part

@@ -34,10 +34,10 @@ class OscillatorModel:
             raise ModelFormatError(
                 f"anharmonic polynomial dimension {anharmonic.dim} "
                 f"does not match frequency count {self.dim}")
-        for k, _ in anharmonic.items():
-            if sum(k) < 3:
-                raise ModelFormatError(
-                    f"anharmonic term {list(k)} has total degree < 3")
+        first = next(anharmonic.items(), None)  # of lowest degree in grlex order
+        if first and sum(first[0]) < 3:
+            raise ModelFormatError(
+                f"anharmonic term {list(first[0])} has total degree < 3")
         self.anharmonic = anharmonic
 
     @property
@@ -68,8 +68,7 @@ class OscillatorModel:
             "dim": self.dim,
             "mass": format_rational(self.mass),
             "omega": [format_rational(w) for w in self.omega],
-            "A": {"terms": [{"k": list(k), "c": format_rational(c)}
-                            for k, c in self.anharmonic.items()]},
+            "A": {"terms": self.anharmonic.to_json()["terms"]},
         }
 
     @classmethod

@@ -8,21 +8,21 @@ is equality of the underlying maps.  Mixed-truncation operations truncate at
 the minimum of the operand truncations.  Serialization uses graded
 lexicographic term order, with rationals as ``"p/q"`` strings.
 
-Arithmetic runs on a graded integer view.  A monomial x^k is one packed
-integer key, sum_i k_i << (SLOT_BITS i) (Monagan and Pearce, *Polynomial
+A series stores one form, its graded integer view.  A monomial x^k is one
+packed key, sum_i k_i << (SLOT_BITS i) (Monagan and Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, 2007),
-so a product key is one addition and d/dx_i subtracts 1 << (SLOT_BITS i).
-Each nonempty degree-d slice is (L, [(key, n), ...]): the coefficient at key
-is n / L, no n is zero and gcd(L, *ns) = 1, so L is the lcm of the reduced
-denominators.  Sums, products, derivatives, scalings and truncations build
-their result's view directly; the Fraction map is built from it only when
-``items``, ``coefficient``, evaluation, JSON, equality or hashing read it.
+so a product key is one addition and d/dx_i subtracts 1 << (SLOT_BITS i);
+only this module knows that layout.  Each nonempty degree-d slice is
+(L, [(key, n), ...]) with coefficient n / L at key, no n zero and
+gcd(L, *ns) = 1, so the view of a term map is unique.  Arithmetic builds
+views directly; Fractions are decoded only when ``items``, ``coefficient``,
+evaluation or JSON read them, and equality compares the slices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AxisOutOfRange, DegreeOutOfRange, DimensionMismatch
@@ -68,6 +68,12 @@ def pack(index: Iterable[int]) -> int:
 def unpack(key: int, dim: int) -> MultiIndex:
     """The multi-index of a packed key."""
     return tuple(key >> (SLOT_BITS * i) & MAX_TRUNC for i in range(dim))
+
+
+def weighted_degrees(keys: Iterable[int], weights: Sequence[int]) -> list[int]:
+    """sum_i k_i w_i for each packed key k, for integer weights w_i."""
+    slots = [(SLOT_BITS * i, w) for i, w in enumerate(weights)]
+    return [sum((k >> s & MAX_TRUNC) * w for s, w in slots) for k in keys]
 
 
 def check_trunc(trunc: int) -> int:
@@ -137,35 +143,32 @@ def derive(part: tuple, axis: int) -> tuple:
 class PolySeries:
     """Immutable truncated formal power series with exact rational terms."""
 
-    __slots__ = ("dim", "trunc", "_map", "_view")
+    __slots__ = ("dim", "trunc", "_view")
 
     def __init__(self, dim: int, trunc: int, terms: Mapping[MultiIndex, Fraction] | None = None):
         if dim < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
         self.trunc = check_trunc(trunc)
-        clean: dict[MultiIndex, Fraction] = {}
-        if terms:
-            for k, c in terms.items():
-                k = tuple(int(e) for e in k)
-                if len(k) != dim:
-                    raise DimensionMismatch(
-                        f"multi-index {k} has length {len(k)}, expected {dim}")
-                if any(e < 0 for e in k):
-                    raise DegreeOutOfRange(f"negative exponent in multi-index {k}")
-                if sum(k) > trunc:
-                    continue
-                c = Fraction(c)
-                if c != 0:
-                    clean[k] = c
-        self._map, self._view = clean, None
+        acc: dict[int, list] = {}  # degree -> [L, {key: numerator over L}]
+        for k, c in (terms or {}).items():
+            k = tuple(int(e) for e in k)
+            if len(k) != dim:
+                raise DimensionMismatch(
+                    f"multi-index {k} has length {len(k)}, expected {dim}")
+            if any(e < 0 for e in k):
+                raise DegreeOutOfRange(f"negative exponent in multi-index {k}")
+            if sum(k) <= trunc:
+                add_slice(acc.setdefault(sum(k), [1, {}]), (1, [(pack(k), 1)]),
+                          Fraction(c))
+        self._view = {d: part for d in sorted(acc) if (part := slice_of(acc[d]))}
 
     @classmethod
     def _from_view(cls, dim: int, trunc: int, view: dict) -> "PolySeries":
         """Wrap a view (canonical nonempty slices of degree <= trunc, in
         increasing degree) without copying it."""
         out = object.__new__(cls)
-        out.dim, out.trunc, out._map, out._view = dim, trunc, None, view
+        out.dim, out.trunc, out._view = dim, trunc, view
         return out
 
     # -- constructors ------------------------------------------------------
@@ -187,51 +190,48 @@ class PolySeries:
 
     @property
     def _terms(self) -> dict[MultiIndex, Fraction]:
-        """The Fraction map, built from the view on first use."""
-        if self._map is None:
-            self._map = {unpack(k, self.dim): Fraction(n, den)
-                         for den, part in self._view.values() for k, n in part}
-        return self._map
+        """The Fraction map, decoded from the view on each read."""
+        return {unpack(k, self.dim): Fraction(n, den)
+                for den, part in self._view.values() for k, n in part}
 
     def items(self) -> Iterator[tuple[MultiIndex, Fraction]]:
         return iter(sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0])))
 
     def coefficient(self, index: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(int(e) for e in index), Fraction(0))
+        index = tuple(int(e) for e in index)
+        valid = len(index) == self.dim and min(index) >= 0
+        den, part = self._view.get(sum(index), (1, ())) if valid else (1, ())
+        return Fraction(dict(part).get(pack(index), 0), den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(tuple([0] * self.dim), Fraction(0))
+        return self.coefficient([0] * self.dim)
 
     def is_zero(self) -> bool:
-        return not self.graded()
+        return not self._view
 
     def max_degree(self) -> int:
         """Largest total degree with a nonzero term (0 for the zero series)."""
-        return max(self.graded(), default=0)
+        return max(self._view, default=0)
 
     def graded(self) -> dict[int, tuple[int, list]]:
         """The integer view: degree d -> canonical slice (L, [(key, n), ...])
-        of its terms, nonempty slices in increasing d.  Equality ignores it."""
-        if self._view is None:
-            slices: dict = {}
-            for k, c in self._terms.items():
-                slices.setdefault(sum(k), []).append((pack(k), c))
-            self._view = {}
-            for d in sorted(slices):
-                den = lcm(*(c.denominator for _, c in slices[d]))
-                self._view[d] = (den, [(k, c.numerator * (den // c.denominator))
-                                       for k, c in slices[d]])
+        of its terms, nonempty slices in increasing d."""
         return self._view
+
+    def _slice_sets(self) -> frozenset:
+        """The view without term order; canonical slices make it exact."""
+        return frozenset((d, den, frozenset(part))
+                         for d, (den, part) in self._view.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySeries):
             return NotImplemented
         return (self.dim == other.dim and self.trunc == other.trunc
-                and self._terms == other._terms)
+                and self._slice_sets() == other._slice_sets())
 
     def __hash__(self):
-        return hash((self.dim, self.trunc, frozenset(self._terms.items())))
+        return hash((self.dim, self.trunc, self._slice_sets()))
 
     def __repr__(self):
         body = " + ".join(
@@ -248,13 +248,13 @@ class PolySeries:
     def _map_slices(self, trunc: int, fn) -> "PolySeries":
         """The series of the slices ``fn(d, slice)`` (None drops one)."""
         return PolySeries._from_view(self.dim, trunc, {
-            d: out for d, part in self.graded().items()
+            d: out for d, part in self._view.items()
             if (out := fn(d, part)) is not None})
 
     def __add__(self, other: "PolySeries") -> "PolySeries":
         self._require_same_dim(other)
         trunc = min(self.trunc, other.trunc)
-        a, b = self.graded(), other.graded()
+        a, b = self._view, other._view
         view = {}
         for d in sorted(a.keys() | b.keys()):
             if d > trunc:
@@ -280,8 +280,8 @@ class PolySeries:
         self._require_same_dim(other)
         trunc = min(self.trunc, other.trunc)
         acc: dict[int, list] = {}  # degree -> [L, {key: numerator over L}]
-        for da, sa in self.graded().items():
-            for db, sb in other.graded().items():
+        for da, sa in self._view.items():
+            for db, sb in other._view.items():
                 if da + db > trunc:
                     break
                 add_product(acc.setdefault(da + db, [1, {}]), sa, sb)
@@ -309,7 +309,7 @@ class PolySeries:
                 f"axis {axis} out of range for dimension {self.dim}")
         # k -> k - e_axis is one-to-one, so nothing collides or cancels
         return PolySeries._from_view(self.dim, max(self.trunc - 1, 0), {
-            d - 1: out for d, part in self.graded().items()
+            d - 1: out for d, part in self._view.items()
             if d and (out := canonical(*derive(part, axis)))})
 
     def gradient(self) -> list["PolySeries"]:
@@ -317,7 +317,7 @@ class PolySeries:
 
     def laplacian(self) -> "PolySeries":
         view = {}
-        for d, (den, part) in self.graded().items():
+        for d, (den, part) in self._view.items():
             nums: dict = {}
             for i in range(self.dim):
                 shift = SLOT_BITS * i
@@ -340,29 +340,22 @@ class PolySeries:
 
     def evaluate(self, point: Sequence) -> float:
         """Evaluate in double precision at a point (length ``dim``)."""
-        if len(point) != self.dim:
-            raise DimensionMismatch(
-                f"point has length {len(point)}, expected {self.dim}")
-        total = 0.0
-        for k, c in self._terms.items():
-            term = float(c)
-            for x, e in zip(point, k):
-                if e:
-                    term *= float(x) ** e
-            total += term
-        return total
+        return self._evaluate(point, float)
 
     def evaluate_exact(self, point: Sequence) -> Fraction:
         """Evaluate exactly at a rational point."""
+        return self._evaluate(point, Fraction)
+
+    def _evaluate(self, point: Sequence, number):
         if len(point) != self.dim:
             raise DimensionMismatch(
                 f"point has length {len(point)}, expected {self.dim}")
-        total = Fraction(0)
+        total = number(0)
         for k, c in self._terms.items():
-            term = c
+            term = number(c)
             for x, e in zip(point, k):
                 if e:
-                    term *= Fraction(x) ** e
+                    term *= number(x) ** e
             total += term
         return total
 

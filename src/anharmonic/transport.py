@@ -90,7 +90,7 @@ def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
             weight = comb(k, j) * (1 if 2 * j == k else 2)
             rhs.append((dot_gradients(grads[j], grads[k - j]), -weight * inv_2m))
         sk, lam = solve_transport(action, 0, min(s.trunc for s, _ in rhs), rhs,
-                                  free=(0,) * model.dim)
+                                  kernel=PolySeries.constant(1, model.dim, 0))
         energies.append(-lam / k)
         corrections.append(sk)
         if k < order:
@@ -172,7 +172,7 @@ def excited_expansion(ground: GroundExpansion, quantum_numbers,
                 rhs.append((corrections[k - j], c_kj * gaps[j]))
             rhs.append((dot_gradients(grads[j - 1], phi_grads[k - j]), -c_kj * inv_m))
         phik, gap_k = solve_transport(action, gap0, min(s.trunc for s, _ in rhs),
-                                      rhs, free=m_idx, kernel=phi0)
+                                      rhs, kernel=phi0)
         corrections.append(phik)
         gaps.append(gap_k)
     return ExcitedExpansion(model, m_idx, order, corrections, gaps)

@@ -89,11 +89,12 @@ class _ModelEval:
         grad = V.gradient()
         parts = [V, *grad,
                  *(g.partial_derivative(j) for g in grad for j in range(n))]
-        exps = sorted({k for p in parts for k, _ in p.items()})
+        terms = [dict(p.items()) for p in parts]
+        exps = sorted({k for t in terms for k in t})
         row = {k: t for t, k in enumerate(exps)}
         self._coeffs = np.zeros((len(exps), len(parts)))
-        for col, p in enumerate(parts):
-            for k, c in p.items():
+        for col, t in enumerate(terms):
+            for k, c in t.items():
                 self._coeffs[row[k], col] = float(c)
         self._exps = np.array(exps, dtype=np.intp).reshape(len(exps), n)
         self._top = int(self._exps.max())  # at least 2: V holds the x_i^2

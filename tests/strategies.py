@@ -24,13 +24,21 @@ _coefficients = st.builds(Fraction,
 @st.composite
 def random_models(draw):
     """Rational mass and frequencies and up to three anharmonic terms drawn
-    from the admissible monomials."""
+    from the admissible monomials.  In dim >= 2 one draw in four is made
+    resonant: omega_0 = r omega_1 (r = 2 or 3) plus a term x_0 x_1^r (a
+    fourth term, or a new coefficient for a drawn one), so the
+    Sternberg divisor of x_1^r on axis 0 vanishes where the field is nonzero,
+    and the levels e_0 and r e_1 are degenerate."""
     dim = draw(dims)
     omega = [Fraction(draw(st.integers(min_value=1, max_value=4)),
                       draw(st.integers(min_value=1, max_value=3)))
              for _ in range(dim)]
     terms = draw(st.dictionaries(st.sampled_from(MONOMIALS[dim]), _coefficients,
                                  max_size=3))
+    if dim >= 2 and draw(st.integers(min_value=0, max_value=3)) == 0:
+        r = draw(st.sampled_from([2, 3]))
+        omega[0] = r * omega[1]
+        terms[(1, r) + (0,) * (dim - 2)] = draw(_coefficients)
     mass = Fraction(draw(st.integers(min_value=1, max_value=3)))
     return OscillatorModel(mass, omega, PolySeries(dim, 6, terms))
 

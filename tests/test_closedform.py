@@ -139,12 +139,13 @@ def t_mul(a, b):
 
 class TestExactOracle:
     """The table's exact small-u series against the transport hierarchy at
-    m = w = 1, g = 1/2, where u = x^2: every coefficient, exactly."""
+    m = w = 1, g = 1/2, where u = x^2: every coefficient, exactly (S_2
+    through degree 60 reaches the last of the 32)."""
 
     @pytest.fixture(scope="class")
     def ground(self):
         return ground_expansion(
-            solve_hj_formal(kappa_model(2, g=Fraction(1, 2)), 44), 2)
+            solve_hj_formal(kappa_model(2, g=Fraction(1, 2)), 64), 2)
 
     def test_s2_series_is_transport_s2(self, ground):
         """S_2 = (g / 3 m^2 w^3) W(u) / u = W(x^2) / (6 x^2); the closed form
@@ -199,6 +200,29 @@ class TestExactOracle:
             assert closed(2, d) == (t2.coefficient((d,))
                                     + 2 * c1 * t1.coefficient((d,))
                                     + c2 * closed(0, d)), d
+
+
+@pytest.mark.parametrize("R", [Fraction(10, 9), Fraction(21, 19)], ids=str)
+@pytest.mark.parametrize("factor, n", [
+    ("S_2", 0), ("u_1", 2), ("u_1", 3), ("u_2", 2), ("u_2", 3)])
+def test_small_u_series_matches_rational_table_form(R, factor, n):
+    """At m = w = 1, x = 1/2 and g = 2 u, R = sqrt(1 + u) is rational, so
+    the table form scale (g / m^2 w^3)^a (A(u) + R B(u)) / (u^a R^b) is an
+    exact rational.  Both points lie below the switch (u = 19/81, 80/361),
+    where the evaluator sums the truncated series instead."""
+    u = R * R - 1
+    model = Kappa1DModel(mass=1.0, omega0=1.0, g=float(2 * u), kappa=2)
+    assert model.u_of(0.5) <= 0.25
+    scale, a, b, A, B, _, _ = _form(factor, n)
+
+    def poly(coeffs):  # A and B are binary fractions, exact as floats
+        return sum(Fraction(c) * u ** i for i, c in enumerate(coeffs))
+
+    expect = Fraction(scale) * 2 ** a * (poly(A) + R * poly(B)) / R ** b
+    got = {"S_2": lambda: s2_closed(model, 0.5),
+           "u_1": lambda: u1_closed(model, n, 0.5),
+           "u_2": lambda: u2_closed(model, n, 0.5)}[factor]()
+    assert abs(got - expect) <= 1e-13 * abs(expect)
 
 
 class TestSternberg1D:

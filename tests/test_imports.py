@@ -72,3 +72,32 @@ def test_guard_sees_dead_private_names():
 def test_no_dead_private_helpers():
     assert dead_private_names(
         {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+def key_layout_uses(source: str) -> list[str]:
+    """Every name, import or attribute that reads the packed-key layout of a
+    series (its slot constants), or the term map ``_map`` of an older design
+    of it, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in {"SLOT_BITS", "MAX_TRUNC", "_map"}:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in {"SLOT_BITS", "MAX_TRUNC"}:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.alias) and node.name in {"SLOT_BITS", "MAX_TRUNC"}:
+            found.append((node.lineno, node.name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_guard_sees_key_layout_uses():
+    source = ("from .series import SLOT_BITS\n"
+              "x = k >> SLOT_BITS & series.MAX_TRUNC\n"
+              "y = s._map\n_map = {}\n")
+    assert key_layout_uses(source) == ["SLOT_BITS (line 1)", "MAX_TRUNC (line 2)",
+                                       "SLOT_BITS (line 2)", "_map (line 3)"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "series.py"],
+                         ids=lambda p: p.name)
+def test_only_series_knows_the_key_layout(path):
+    assert key_layout_uses(path.read_text(encoding="utf-8")) == []

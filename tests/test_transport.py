@@ -236,7 +236,9 @@ def test_random_model_residuals_vanish(model, order, levels):
 
 def test_random_models_reach_coupled_models():
     """The model strategy draws multi-term and, in dim >= 2, coupled
-    anharmonicities (checked on a fixed sequence of examples)."""
+    anharmonicities, and resonant ones, on which the Sternberg map through
+    degree 9 raises ResonantDivisor (checked on a fixed sequence of
+    examples)."""
     seen = []
 
     @settings(max_examples=40, derandomize=True, database=None)
@@ -244,6 +246,14 @@ def test_random_models_reach_coupled_models():
     def draw(model):
         seen.append(model)
 
+    def resonant(model):
+        try:
+            sternberg_linearize(solve_hj_formal(model, 10), 9)
+        except ResonantDivisor:
+            return True
+        return False
+
     draw()
     assert any(len(list(m.anharmonic.items())) >= 2 for m in seen)
     assert any("coupled" in model_events(m) for m in seen if m.dim >= 2)
+    assert any(map(resonant, seen))
