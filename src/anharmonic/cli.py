@@ -211,9 +211,10 @@ def _cmd_scan(args):
             raise DomainExceeded(f"the closed forms overflow a double: {exc}") from exc
         header = ("x", "S0", "S1", "S2", "Q", "phi0", "u1", "u2", "psi")
         return header, zip(*(cols[h] for h in header))
+    provider = MomentumProvider(model, args.nodes)
     rows = []
     for point in product(args.grid, repeat=model.dim):
-        r = minimize_action(model, list(point), args.nodes)
+        r = provider.minimize(point)
         rows.append((*point, r.action, *r.momentum.tolist(),
                      r.hj_residual, r.ip_energy_drift, r.iterations))
     header = ([f"x{i + 1}" for i in range(model.dim)] + ["action"]
@@ -223,13 +224,8 @@ def _cmd_scan(args):
 
 
 def _cmd_flow(args):
-    provider = MomentumProvider(args.model, args.nodes)
-    compare = None
-    if not args.forward:
-        compare = minimize_action(args.model, args.point, args.nodes).curve
-    traj = semi_flow(args.model, args.point, provider, t_span=args.t_span,
-                     compare_curve=compare, forward=args.forward)
-    return traj.to_json()
+    return semi_flow(args.model, args.point, args.nodes, args.t_span,
+                     args.forward).to_json()
 
 
 def _cmd_resum(args):

@@ -167,21 +167,6 @@ def _spectral(nodes: int) -> _Spectral:
     return spec
 
 
-def _discretize(model: OscillatorModel, nodes: int):
-    """The model's jet and the degree-``nodes`` matrices; a degree below a
-    linear mode's exponent q omega_i / omega_min is rejected before any
-    Newton work (omega = (1, 1.4142) has q = 5000 and needs degree 7071)."""
-    spec = _spectral(nodes)
-    ev = _ModelEval(model)
-    top = int(ev.powers.max())
-    if top > nodes:
-        raise ModelFormatError(
-            f"the frequency ratios make s^{top} a linear mode of the curve, "
-            f"beyond its degree {nodes}: the degree must be at least {top} "
-            f"(and at most {_MAX_NODES})", exponent=top, nodes=nodes)
-    return ev, spec
-
-
 @dataclass
 class CurveGrid:
     """Discretized curve: node times (t_0 = -inf ... t_N = 0) and points."""
@@ -196,7 +181,6 @@ class VariationalResult:
     momentum: np.ndarray
     ip_energy_drift: float
     hj_residual: float
-    converged: bool
     iterations: int
 
     def to_json(self) -> dict:
@@ -205,7 +189,7 @@ class VariationalResult:
             "momentum": [float(p) for p in self.momentum],
             "ip_energy_drift": self.ip_energy_drift,
             "hj_residual": self.hj_residual,
-            "converged": self.converged,
+            "converged": True,  # every failure raises
             "iterations": self.iterations,
             "nodes": int(self.curve.points.shape[0] - 1),
         }
@@ -347,12 +331,12 @@ def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
 
 def minimize_action(model: OscillatorModel, x, nodes: int = NODES) -> VariationalResult:
     """Minimize the discretized inverted-potential action to the target x."""
-    return _solve(*_discretize(model, nodes), x)[0]
+    return MomentumProvider(model, nodes).minimize(x)
 
 
 def _solve(ev: _ModelEval, spec: _Spectral, x):
-    """``minimize_action`` on a built discretization; also returns Hess V
-    at the Gauss points of the minimizer."""
+    """The minimizer to x on a built discretization, and Hess V at its
+    Gauss points."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (ev.dim,):
         raise GradientProviderFailure(
@@ -382,27 +366,38 @@ def _solve(ev: _ModelEval, spec: _Spectral, x):
         curve=CurveGrid(times=times, points=pts),
         action=action, momentum=momentum,
         ip_energy_drift=float(np.abs(energy).max()), hj_residual=hj,
-        converged=True, iterations=iters)
+        iterations=iters)
     return result, hess_v
 
 
-# -- momentum field provider ---------------------------------------------------
+# -- the discretized model -----------------------------------------------------
 
 class MomentumProvider:
-    """grad S_0 and its Hessian, one action minimization per call.
+    """The model's jet and the degree-``nodes`` matrices, built once and
+    shared by every minimization on them.
 
-    ``momentum(x)`` returns the endpoint gradient of the discrete action,
-    dI/dgamma(1) = grad S_0(x); ``hessian(x)`` differentiates it exactly
-    in x.
+    ``minimize(x)`` returns the minimizer to x; ``momentum(x)`` is its
+    endpoint gradient dI/dgamma(1) = grad S_0(x), and ``hessian(x)``
+    differentiates that exactly in x.  Those two report every failure of
+    their minimization as GradientProviderFailure.  A degree below a linear
+    mode's exponent q omega_i / omega_min is rejected here, before any
+    Newton work (omega = (1, 1.4142) has q = 5000 and needs degree 7071).
     """
 
     def __init__(self, model: OscillatorModel, nodes: int = NODES):
-        self._ev, self._spec = _discretize(model, nodes)
-        self.model = model
-        self.nodes = nodes
-        self.dim = model.dim
+        self._spec = _spectral(nodes)
+        self._ev = _ModelEval(model)
+        top = int(self._ev.powers.max())
+        if top > nodes:
+            raise ModelFormatError(
+                f"the frequency ratios make s^{top} a linear mode of the curve, "
+                f"beyond its degree {nodes}: the degree must be at least {top} "
+                f"(and at most {_MAX_NODES})", exponent=top, nodes=nodes)
 
-    def _minimize(self, x):
+    def minimize(self, x) -> VariationalResult:
+        return _solve(self._ev, self._spec, x)[0]
+
+    def _sample(self, x):
         """The minimizer to x and Hess V at its Gauss points."""
         try:
             return _solve(self._ev, self._spec, x)
@@ -411,10 +406,7 @@ class MomentumProvider:
                 f"gradient sample failed at {np.ravel(x).tolist()}: {exc}") from exc
 
     def momentum(self, x) -> np.ndarray:
-        return self._minimize(x)[0].momentum
-
-    # semi-flow integrators expect a gradient callable
-    gradient = momentum
+        return self._sample(x)[0].momentum
 
     def hessian(self, x) -> np.ndarray:
         """Hess S_0(x) as the x-derivative of the discrete momentum.
@@ -424,8 +416,8 @@ class MomentumProvider:
         (the endpoint gradient) moves as the Schur complement
         K_xx - K_xi K_ii^-1 K_ix of the discrete action Hessian K.
         """
-        hess = _action_hessian(self._ev, self._spec, self._minimize(x)[1])
-        n = self.dim
+        hess = _action_hessian(self._ev, self._spec, self._sample(x)[1])
+        n = self._ev.dim
         inner = cho_factor(hess[:-n, :-n], check_finite=False)
         out = hess[-n:, -n:] - hess[-n:, :-n] @ cho_solve(
             inner, hess[:-n, -n:], check_finite=False)
@@ -451,54 +443,49 @@ class FlowTrajectory:
 
 
 _FLOW_RTOL, _FLOW_ATOL = 1e-8, 1e-10
+_ESCAPE_RADIUS = 1e3  # a forward flow has escaped once |gamma| reaches it
 
 
-def semi_flow(model: OscillatorModel, x, provider, t_span: float | None = None,
-              compare_curve: CurveGrid | None = None,
-              forward: bool = False, escape_radius: float = 1e3) -> FlowTrajectory:
-    """Integrate m gamma' = grad S_0(gamma) from gamma(0) = x.
+def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
+              t_span: float | None = None, forward: bool = False) -> FlowTrajectory:
+    """Integrate m gamma' = grad S_0(gamma) from gamma(0) = x, sampling
+    grad S_0 on one degree-``nodes`` discretization.
 
     Backward integration (the default) relaxes to the origin and must retrace
-    the variational minimizer.  Forward integration generically escapes to
-    infinity in finite time, reported in ``escape_time`` once |gamma| reaches
-    ``escape_radius``.  The graph p = grad S_0 is invariant under, and
-    forward attracts, the inverted-potential flow gamma' = p/m, p' = grad V,
-    so forward that flow is integrated from p(0) = grad S_0(x): one sample,
-    where the far points would need a degree growing with |gamma|.
+    the minimizer to x: ``deviation_from_minimizer`` is the largest gap at
+    its nodes inside the integrated span.  Forward integration generically
+    escapes to infinity in finite time, reported in ``escape_time`` once
+    |gamma| reaches _ESCAPE_RADIUS.  The graph p = grad S_0 is invariant
+    under, and forward attracts, the inverted-potential flow gamma' = p/m,
+    p' = grad V, so forward that flow is integrated from p(0) = grad S_0(x):
+    one sample, where the far points would need a degree growing with |gamma|.
     """
+    provider = MomentumProvider(model, nodes)
     mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
     horizon = t_span if t_span is not None else 10.0 / float(model.omega_min)
-
-    def sample(y):
-        try:
-            return np.asarray(provider.gradient(y), dtype=float)
-        except GradientProviderFailure:
-            raise
-        except Exception as exc:
-            raise GradientProviderFailure(
-                f"gradient provider failed at {y.tolist()}: {exc}") from exc
-
     if forward:
-        ev = _ModelEval(model)
+        jet = provider._ev.jet
 
         def rhs(_t, y):
-            return np.concatenate([y[n:] / mass, ev.jet(y[None, :n])[1][0]])
+            return np.concatenate([y[n:] / mass, jet(y[None, :n])[1][0]])
 
         def escaped(_t, y):
-            return float(np.linalg.norm(y[:n])) - escape_radius
+            return float(np.linalg.norm(y[:n])) - _ESCAPE_RADIUS
         escaped.terminal = True
         escaped.direction = 1.0
-        start = np.concatenate([x, sample(x)])
+        start = np.concatenate([x, provider.momentum(x)])
         span, events = (0.0, horizon), escaped
     else:
+        curve = provider.minimize(x).curve
+
         def rhs(_t, y):
-            return sample(y) / mass
+            return provider.momentum(y) / mass
         start, span, events = x, (0.0, -horizon), None
     sol = solve_ivp(rhs, span, start, method="RK45", rtol=_FLOW_RTOL,
                     atol=_FLOW_ATOL, dense_output=True, events=events)
-    escape_time = None
+    escape_time = deviation = None
     if forward and len(sol.t_events[0]):
         escape_time = float(sol.t_events[0][0])
     elif not sol.success:
@@ -507,13 +494,11 @@ def semi_flow(model: OscillatorModel, x, provider, t_span: float | None = None,
     order = np.argsort(sol.t)
     times = sol.t[order]
     points = sol.y[:n].T[order]
-    deviation = None
-    if compare_curve is not None:
+    if not forward:
         # the curve's nodes inside the integrated span (never the origin,
         # which sits at t = -inf), against the flow's dense output there
-        node_t = compare_curve.times
-        inside = (node_t >= times[0]) & (node_t <= times[-1])
-        gap = sol.sol(node_t[inside])[:n].T - compare_curve.points[inside]
+        inside = (curve.times >= times[0]) & (curve.times <= times[-1])
+        gap = sol.sol(curve.times[inside])[:n].T - curve.points[inside]
         deviation = float(np.abs(gap).max(initial=0.0))
     return FlowTrajectory(times=times, points=points,
                           deviation_from_minimizer=deviation,
@@ -531,8 +516,7 @@ def decay_bound_satisfied(traj: FlowTrajectory, omega_min: float,
 
 # -- numerical first transport integral ----------------------------------------
 
-def numeric_s1(model: OscillatorModel, x,
-               provider: MomentumProvider | None = None) -> float:
+def numeric_s1(model: OscillatorModel, x) -> float:
     """S_1(x) from the transport integral along the minimizing curve.
 
     In s = exp(c t) the integral is int_0^1 f(gamma(s)) ds / (c s) with
@@ -544,8 +528,8 @@ def numeric_s1(model: OscillatorModel, x,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
-    provider = provider or MomentumProvider(model)
-    curve = minimize_action(model, x, provider.nodes).curve
+    provider = MomentumProvider(model)
+    curve = provider.minimize(x).curve
     spec, rate = provider._spec, provider._ev.rate
     half_omega = 0.5 * float(sum(model.omega))
     total = 0.0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from anharmonic import variational
 from anharmonic.cli import main
 
 
@@ -143,6 +144,33 @@ class TestNumerics:
             - math.asinh(1.0 / (1e3 * math.sqrt(2.0)))
         assert data["escape_time"] == pytest.approx(exact, abs=1e-6)
         assert data["deviation_from_minimizer"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--grid", "0.2:0.8:5", "--engine", "variational"),
+        ("flow", "--point", "0.5,0.4"),
+        ("flow", "--point", "0.5,0.4", "--forward"),
+        ("variational", "--point", "0.5,0.4"),
+    ], ids=["scan-5x5", "flow", "flow-forward", "variational"])
+    def test_one_discretized_model_per_command(self, capsys, monkeypatch,
+                                               tmp_path, argv):
+        """Every minimization of a command shares one jet of V."""
+        path = tmp_path / "convex.json"
+        path.write_text(json.dumps({
+            "dim": 2, "mass": "1", "omega": ["1", "3/2"],
+            "A": {"terms": [{"k": [4, 0], "c": "1/4"}, {"k": [2, 2], "c": "1/4"},
+                            {"k": [0, 4], "c": "1/3"}], "trunc": 8},
+        }))
+        built = []
+        real = variational._ModelEval.__init__
+
+        def counted(self, model):
+            built.append(model)
+            real(self, model)
+
+        monkeypatch.setattr(variational._ModelEval, "__init__", counted)
+        code, _, err = run_cli(capsys, argv[0], "--model", str(path), *argv[1:])
+        assert code == 0, err
+        assert len(built) == 1
 
     def test_resum_builtin(self, capsys):
         code, out, _ = run_cli(capsys, "resum",

@@ -91,7 +91,7 @@ class TestMinimizer:
         cf = Kappa1DModel(mass=1.0, omega0=1.0, g=0.5, kappa=2)
         for x in (0.3, 1.0, 1.8):
             result = minimize_action(model, [x])
-            assert result.converged
+            assert result.to_json()["converged"] is True
             assert result.action == pytest.approx(s0_closed(cf, x), rel=1e-12)
 
     def test_quartic_s0_on_the_acceptance_grid(self):
@@ -230,6 +230,28 @@ class TestMinimizer:
         assert result.action == pytest.approx(1.5, rel=1e-12)
         assert result.momentum == pytest.approx([1.0, 2.0], rel=1e-12)
 
+    def test_line_search_backtracks_and_converges(self, monkeypatch):
+        """A full Newton step can raise the action: on this cubic-coupled
+        model (sampled convexity fails, yet the discrete Hessian stays
+        positive definite) Newton backtracks 4 times in 6 iterations and
+        still converges, with HJ residual 8.5e-13."""
+        A = PolySeries(2, 4, {(2, 1): Fraction(5, 3), (4, 0): Fraction(1, 4),
+                              (0, 4): Fraction(9, 20)})
+        model = OscillatorModel(1, [Fraction(1, 2), Fraction(3, 2)], A)
+        assert not check_hypotheses(model).convexity_ok
+        trials = []
+        real = variational._action_and_gradient
+
+        def counted(*args):
+            trials.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(variational, "_action_and_gradient", counted)
+        result = minimize_action(model, [1.7, 1.65])
+        # the start and each accepted step take one evaluation; backtracks more
+        assert len(trials) > 1 + result.iterations
+        assert result.hj_residual < 1e-11
+
     def test_2d_coupled_against_bvp_oracle(self):
         """Independent check: solve the Euler-Lagrange BVP
         gamma'' = grad V(gamma) with scipy and integrate its Lagrangian."""
@@ -360,31 +382,23 @@ class TestHessian:
 class TestSemiFlow:
     def test_harmonic_flow_is_exponential(self):
         model = OscillatorModel(1, [Fraction(1)], PolySeries.zero(1, 6))
-        provider = MomentumProvider(model)
-        traj = semi_flow(model, [1.0], provider, t_span=5.0)
+        traj = semi_flow(model, [1.0], t_span=5.0)
         expect = np.exp(traj.times)
         assert np.abs(traj.points[:, 0] - expect).max() < 1e-4
 
     def test_backward_flow_retraces_minimizer(self):
-        model = quartic()
-        result = minimize_action(model, [1.0])
-        provider = MomentumProvider(model)
-        traj = semi_flow(model, [1.0], provider, t_span=8.0,
-                         compare_curve=result.curve)
+        traj = semi_flow(quartic(), [1.0], t_span=8.0)
         assert traj.deviation_from_minimizer < 1e-6
         assert decay_bound_satisfied(traj, 1.0, 0.1)
 
     def test_forward_flow_escapes(self):
         """The quartic with g = 1/2 has grad S_0 = x (1 + x^2)^(1/2), so the
         flow from 1 reaches |x| = R at asinh(1) - asinh(1/R), beyond the
-        range any degree resolves for R = 1e5."""
-        model = quartic()
-        provider = MomentumProvider(model)
-        traj = semi_flow(model, [1.0], provider, forward=True, t_span=5.0,
-                         escape_radius=1e5)
-        exact = math.asinh(1.0) - math.asinh(1e-5)
+        range any degree resolves for R = 1e3."""
+        traj = semi_flow(quartic(), [1.0], t_span=5.0, forward=True)
+        exact = math.asinh(1.0) - math.asinh(1e-3)
         assert traj.escape_time == pytest.approx(exact, abs=1e-7)
-        assert traj.points[-1, 0] == pytest.approx(1e5, rel=1e-9)
+        assert traj.points[-1, 0] == pytest.approx(1e3, rel=1e-9)
 
     def test_decay_bound_rejects_slow_decay(self):
         ts = np.linspace(-5.0, 0.0, 50)
@@ -420,6 +434,19 @@ class TestNumericS1:
         monkeypatch.setattr(variational, "_solve", counted)
         numeric_s1(quartic(), [0.9])
         assert len(calls) == 2 * NODES + 1
+
+    def test_one_discretized_model(self, monkeypatch):
+        """The curve and every Hessian share one jet of V."""
+        built = []
+        real = _ModelEval.__init__
+
+        def counted(self, model):
+            built.append(model)
+            real(self, model)
+
+        monkeypatch.setattr(_ModelEval, "__init__", counted)
+        numeric_s1(quartic(), [0.9])
+        assert len(built) == 1
 
 
 class TestSpectral:
@@ -475,7 +502,7 @@ class TestFormalOracles:
             hess = np.array([[d.evaluate(x) for d in row] for row in second])
             err = np.abs(provider.hessian(x) - hess).max()
             assert err <= 1e-10 * np.abs(hess).max()
-            assert numeric_s1(model, x, provider) == pytest.approx(
+            assert numeric_s1(model, x) == pytest.approx(
                 s1.evaluate(x), abs=1e-10)
 
 
