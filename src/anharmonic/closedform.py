@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .errors import (DomainExceeded, ModelFormatError, UnsupportedKappa,
                      UnsupportedOrder)
 
@@ -156,6 +154,7 @@ def s0_closed(model: Kappa1DModel, x: float) -> float:
         # (1+u)^(3/2) - 1 without cancellation
         core = math.expm1(1.5 * math.log1p(u))
         return m * m * w ** 3 / (6.0 * g) * core
+    from scipy.integrate import quad
     val, _err = quad(lambda s: math.sqrt(2.0 * model.mass * model.potential(s)),
                      0.0, abs(x), epsabs=1e-14, epsrel=1e-12, limit=200)
     return val

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigvals_banded
 
 from .errors import (IndexOutOfRange, InsufficientCoefficients, NotConverged,
                      PoleOnRay, UnsupportedKappa)
@@ -106,6 +104,7 @@ def _poles_on_ray(den: list[Fraction], mu: float) -> list[float]:
 
 def borel_pade(series, mu: float, p: int, q: int) -> float:
     """Borel sum of sum_k c_k mu^k via an exact [p/q] Pade of the transform."""
+    from scipy.integrate import quad
     coeffs = [Fraction(c) for c in series]
     borel = []
     fact = 1
@@ -165,6 +164,7 @@ def _spectrum(kappa: int, mu: float, basis_size: int, n: int) -> float:
     h[0] += np.arange(basis_size) + 0.5
     if not np.isfinite(h).all():
         raise NotConverged(f"x^{w} overflows or mu = {mu} is not finite")
+    from scipy.linalg import eigvals_banded
     return eigvals_banded(h, lower=True, select="i", select_range=(n, n))[0]
 
 

@@ -43,8 +43,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     DomainExceeded,
@@ -253,15 +251,17 @@ def check_hypotheses(model: OscillatorModel, sample_box=None) -> HypothesisRepor
 
 def _action_and_gradient(ev: _ModelEval, spec: _Spectral, free: np.ndarray):
     """Discrete action, its gradient (N, dim) in the curve values at nodes
-    1..N (``free``), and Hess V at the Gauss points for ``_action_hessian``."""
+    1..N (``free``), and Hess V at the Gauss points for ``_action_hessian``.
+    A far target overflows quietly: ``_newton`` rejects a non-finite result."""
     pts = spec.interp @ free
     vel = spec.slope @ free
-    v, grad_v, hess_v = ev.jet(pts)
     kinetic = ev.mass * ev.rate * spec.weights * spec.gauss
     potential = spec.weights / (ev.rate * spec.gauss)
-    action = 0.5 * kinetic @ (vel ** 2).sum(axis=1) + potential @ v
-    grad = (spec.slope.T @ (kinetic[:, None] * vel)
-            + spec.interp.T @ (potential[:, None] * grad_v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, grad_v, hess_v = ev.jet(pts)
+        action = 0.5 * kinetic @ (vel ** 2).sum(axis=1) + potential @ v
+        grad = (spec.slope.T @ (kinetic[:, None] * vel)
+                + spec.interp.T @ (potential[:, None] * grad_v))
     return float(action), grad, hess_v
 
 
@@ -282,6 +282,7 @@ def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
     """Damped Newton on the interior values; the last row of ``free`` is
     the fixed endpoint.  Returns the minimizer, its action, gradient and
     Hess V at the Gauss points, and the iteration count."""
+    from scipy.linalg import cho_factor, cho_solve
     n = ev.dim
     action, grad, hess_v = _action_and_gradient(ev, spec, free)
     for iterations in range(max_iter + 1):
@@ -299,7 +300,7 @@ def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
         try:
             factor = cho_factor(_action_hessian(ev, spec, hess_v)[:-n, :-n],
                                 check_finite=False)
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise HypothesisViolation(
                 f"discrete Hessian is not positive definite (non-convex "
                 f"potential along the path?): {exc}") from exc
@@ -416,6 +417,7 @@ class MomentumProvider:
         (the endpoint gradient) moves as the Schur complement
         K_xx - K_xi K_ii^-1 K_ix of the discrete action Hessian K.
         """
+        from scipy.linalg import cho_factor, cho_solve
         hess = _action_hessian(self._ev, self._spec, self._sample(x)[1])
         n = self._ev.dim
         inner = cho_factor(hess[:-n, :-n], check_finite=False)
@@ -460,6 +462,7 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
     p' = grad V, so forward that flow is integrated from p(0) = grad S_0(x):
     one sample, where the far points would need a degree growing with |gamma|.
     """
+    from scipy.integrate import solve_ivp
     provider = MomentumProvider(model, nodes)
     mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))

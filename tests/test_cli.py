@@ -431,13 +431,18 @@ class TestExitCodes:
             assert len(err.strip().splitlines()) == 1
             assert json.loads(err)["error"] == error
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_action_is_2_with_json(self, capsys):
-        code, out, err = run_cli(capsys, "variational",
-                                 "--model", "builtin:quartic", "--point", "1e200")
-        assert code == 2
-        assert out == ""
-        assert json.loads(err.strip().splitlines()[-1])["error"] == "NoConvergence"
+        """An overflowing action is rejected quietly: the JSON error is the
+        only line on stderr."""
+        for argv, error in ((["variational"], "NoConvergence"),
+                            (["flow"], "NoConvergence"),
+                            (["flow", "--forward"], "GradientProviderFailure")):
+            code, out, err = run_cli(capsys, *argv, "--model", "builtin:quartic",
+                                     "--point", "1e200")
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == error
 
     def test_resum_negative_mu_pole_is_2_with_json(self, capsys):
         code, out, err = run_cli(capsys, "resum", "--series",

@@ -1,12 +1,20 @@
-"""Every module-level import in the package is used, and every module-level
-private helper is referenced (no linter is installed, so this is the guard)."""
+"""Every module-level import in the package is used, every module-level
+private helper is referenced (no linter is installed, so this is the guard),
+and no module imports scipy at module level, so the exact subcommands never
+load it.  The guards read ``tree.body`` only: an import inside a function
+(where the float code imports scipy) is out of their view."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).parent.parent / "src" / "anharmonic").glob("*.py"))
+SRC = Path(__file__).parent.parent / "src"
+PACKAGE = sorted((SRC / "anharmonic").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]  # __init__ re-exports by design
 
 
@@ -33,6 +41,70 @@ def test_guard_sees_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_level_scipy(source: str) -> list[str]:
+    """Every ``import scipy...`` or ``from scipy... import`` in ``tree.body``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_guard_sees_module_level_scipy():
+    source = ("import numpy as np, scipy.linalg\n"
+              "from scipy.integrate import quad\n"
+              "from .scipy import x\n"
+              "def f():\n    from scipy.linalg import cho_factor\n")
+    assert module_level_scipy(source) == ["scipy.linalg (line 1)",
+                                          "scipy.integrate (line 2)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_level_scipy(path):
+    assert module_level_scipy(path.read_text(encoding="utf-8")) == []
+
+
+_FRESH_CLI = textwrap.dedent("""
+    import sys
+    from anharmonic.cli import main
+
+    def scipy_loaded():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    out = sys.argv[1]
+    for i, argv in enumerate((
+            ["expand-ground", "--model", "builtin:quartic"],
+            ["expand-excited", "--model", "builtin:quartic", "--levels", "1"],
+            ["sternberg", "--model", "builtin:quartic"],
+            ["rs", "--kappa", "2"],
+            ["compare", "--model", "builtin:quartic"],
+            ["check-model", "--model", "builtin:quartic"])):
+        assert main([*argv, "--output", f"{out}/{i}.json"]) == 0, argv
+    assert scipy_loaded() == [], scipy_loaded()
+    assert main(["variational", "--model", "builtin:quartic", "--point", "0.7",
+                 "--output", f"{out}/variational.json"]) == 0
+    assert "scipy.linalg" in sys.modules
+    assert "scipy.integrate" not in sys.modules, scipy_loaded()
+""")
+
+
+def test_exact_subcommands_never_load_scipy(tmp_path):
+    """A fresh interpreter (this one holds scipy already) runs the six exact
+    subcommands without loading scipy; ``variational`` then loads
+    ``scipy.linalg`` but not ``scipy.integrate``."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:

@@ -209,7 +209,6 @@ class TestMinimizer:
         with pytest.raises(ModelFormatError):
             MomentumProvider(quartic(), nodes)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("model, x", [
         (quartic(), [1e200]),
         (coupled_2d(), [1e-300, 1e200]),
