@@ -18,7 +18,7 @@ import sys
 from itertools import product
 
 from .errors import (DomainExceeded, EngineError, ModelFormatError,
-                     UnsupportedKappa)
+                     OrderTooHigh, UnsupportedKappa)
 from .hjformal import solve_hj_formal, sternberg_linearize, sternberg_residual
 from .model import (
     BUILTIN_KAPPA,
@@ -145,19 +145,21 @@ def _require_kappa(model: OscillatorModel) -> int:
 
 # -- subcommand handlers ------------------------------------------------------
 # Each returns its report: a dict is written as JSON, a (header, rows) pair
-# as CSV.
+# as CSV.  A truncation derived from an option uses max(option, 1), so a bad
+# value reaches the engine check that names it as passed.
 
 def _cmd_expand_ground(args):
-    trunc = args.trunc if args.trunc is not None else 2 * args.order + 2
+    trunc = args.trunc if args.trunc is not None else 2 * max(args.order, 1) + 2
     action = solve_hj_formal(args.model, trunc)
     return ground_report(ground_expansion(action, args.order))
 
 
 def _cmd_expand_excited(args):
+    order = max(args.order, 1)  # order 0 still needs the ground to order 1
     trunc = (args.trunc if args.trunc is not None
-             else 2 * args.order + sum(args.levels) + 2)
+             else 2 * order + max(sum(args.levels), 1) + 2)
     action = solve_hj_formal(args.model, trunc)
-    ground = ground_expansion(action, args.order)
+    ground = ground_expansion(action, order)
     excited = excited_expansion(ground, args.levels, args.order)
     return excited_report(ground, excited)
 
@@ -172,6 +174,10 @@ def _cmd_rs(args):
 
 def _cmd_compare(args):
     kappa = _require_kappa(args.model)
+    if args.order < 0:
+        raise OrderTooHigh(f"order must be >= 0, got {args.order}")
+    # RS validates kappa and n before any transport work
+    rs = rs_expand(kappa, args.n, args.order // (kappa - 1))
     # the comparison lives in the dimensionless coupling, so normalize g = 1
     normalized = kappa_model(kappa)
     # the ground energy list covers hbar orders 0..K-1, so solve one deeper
@@ -182,14 +188,13 @@ def _cmd_compare(args):
     else:
         excited = excited_expansion(ground, [args.n], args.order)
         series = total_energy_series(ground, excited)
-    rs = rs_expand(kappa, args.n, args.order // (kappa - 1))
     report = compare_with_transport(rs, series)
     report["requested_order"] = args.order
     if report["agree"]:
         report["status"] = f"AGREE through order {args.order}"
     else:
         report["status"] = (
-            f"MISMATCH at order {report['first_mismatch']}")
+            f"MISMATCH at order {report['first_mismatch']['hbar_order']}")
     return report
 
 
@@ -251,7 +256,7 @@ def _cmd_resum(args):
 
 
 def _cmd_sternberg(args):
-    action = solve_hj_formal(args.model, args.degree + 1)
+    action = solve_hj_formal(args.model, max(args.degree, 1) + 1)
     smap = sternberg_linearize(action, args.degree)
     residual = sternberg_residual(smap, action)
     return {

@@ -1,7 +1,7 @@
 """Error types shared across the engines.
 
-Every engine error carries a stable machine-readable ``code`` and an optional
-``payload`` dict so front ends can serialize failures as JSON.
+Every engine error carries a stable machine-readable ``code``, its class name,
+and an optional ``payload`` dict so front ends can serialize failures as JSON.
 """
 
 from __future__ import annotations
@@ -11,6 +11,9 @@ class EngineError(Exception):
     """Base class for all engine failures."""
 
     code = "EngineError"
+
+    def __init_subclass__(cls):
+        cls.code = cls.__name__
 
     def __init__(self, message: str, **payload):
         super().__init__(message)
@@ -25,76 +28,76 @@ class EngineError(Exception):
 
 
 class DimensionMismatch(EngineError):
-    code = "DimensionMismatch"
+    pass
 
 
 class AxisOutOfRange(EngineError):
-    code = "AxisOutOfRange"
+    pass
 
 
 class DegreeOutOfRange(EngineError):
-    code = "DegreeOutOfRange"
+    pass
 
 
 class IndexOutOfRange(EngineError):
-    code = "IndexOutOfRange"
+    pass
 
 
 class BadTruncation(EngineError):
-    code = "BadTruncation"
+    pass
 
 
 class TruncationTooSmall(EngineError):
-    code = "TruncationTooSmall"
+    pass
 
 
 class ResonantDivisor(EngineError):
-    code = "ResonantDivisor"
+    pass
 
 
 class DegenerateEigenvalue(EngineError):
-    code = "DegenerateEigenvalue"
+    pass
 
 
 class UnsupportedKappa(EngineError):
-    code = "UnsupportedKappa"
+    pass
 
 
 class UnsupportedOrder(EngineError):
-    code = "UnsupportedOrder"
+    pass
 
 
 class OrderTooHigh(EngineError):
-    code = "OrderTooHigh"
+    pass
 
 
 class DomainExceeded(EngineError):
-    code = "DomainExceeded"
+    pass
 
 
 class PoleOnRay(EngineError):
-    code = "PoleOnRay"
+    pass
 
 
 class InsufficientCoefficients(EngineError):
-    code = "InsufficientCoefficients"
+    pass
 
 
 class NotConverged(EngineError):
-    code = "NotConverged"
+    pass
 
 
 class NoConvergence(EngineError):
-    code = "NoConvergence"
+    pass
 
 
 class HypothesisViolation(EngineError):
-    code = "HypothesisViolation"
+    pass
 
 
 class GradientProviderFailure(EngineError):
-    code = "GradientProviderFailure"
+    pass
 
 
 class ModelFormatError(EngineError):
-    code = "ModelFormatError"
+    pass

@@ -107,12 +107,12 @@ def _size(value, name: str) -> int:
     return value
 
 
-def kappa_model(kappa: int, g=1, mass=1, omega=1) -> OscillatorModel:
-    """1D model V = (1/2) m omega^2 x^2 + g x^(2 kappa)."""
+def kappa_model(kappa: int, g=1) -> OscillatorModel:
+    """1D model V = (1/2) x^2 + g x^(2 kappa), with m = omega = 1."""
     if kappa < 2:
         raise ModelFormatError("kappa must be >= 2")
     anh = PolySeries.monomial((2 * kappa,), Fraction(g), 2 * kappa)
-    return OscillatorModel(mass, [omega], anh)
+    return OscillatorModel(1, [1], anh)
 
 
 BUILTIN_KAPPA = {"quartic": 2, "sectic": 3, "octic": 4, "dectic": 5}

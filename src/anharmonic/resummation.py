@@ -21,8 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .closedform import _horner
 from .errors import (IndexOutOfRange, InsufficientCoefficients, NotConverged,
                      PoleOnRay, UnsupportedKappa)
+from .transport import _plain
 
 _TAIL_CUTOFF = 45.0  # e^-t < 1e-18 beyond this
 
@@ -105,14 +107,7 @@ def _poles_on_ray(den: list[Fraction], mu: float) -> list[float]:
 def borel_pade(series, mu: float, p: int, q: int) -> float:
     """Borel sum of sum_k c_k mu^k via an exact [p/q] Pade of the transform."""
     from scipy.integrate import quad
-    coeffs = [Fraction(c) for c in series]
-    borel = []
-    fact = 1
-    for k, c in enumerate(coeffs):
-        if k > 1:
-            fact *= k
-        borel.append(c / fact)
-    num, den = pade_coefficients(borel, p, q)
+    num, den = pade_coefficients(_plain([Fraction(c) for c in series]), p, q)
     poles = _poles_on_ray(den, mu)
     if poles:
         raise PoleOnRay(
@@ -123,20 +118,13 @@ def borel_pade(series, mu: float, p: int, q: int) -> float:
 
     def integrand(t: float) -> float:
         s = mu * t
-        return math.exp(-t) * _polyval(num_f, s) / _polyval(den_f, s)
+        return math.exp(-t) * _horner(num_f, s) / _horner(den_f, s)
 
     value, err, _info, *failed = quad(integrand, 0.0, _TAIL_CUTOFF, epsabs=1e-13,
                                       epsrel=1e-12, limit=400, full_output=1)
     if failed or not math.isfinite(value):
         raise NotConverged("Laplace integral not converged", error_estimate=err)
     return value
-
-
-def _polyval(coeffs: list[float], s: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * s + c
-    return total
 
 
 def partial_sums(series, mu: float) -> list[float]:
@@ -148,10 +136,11 @@ def partial_sums(series, mu: float) -> list[float]:
     return out
 
 
-def _spectrum(kappa: int, mu: float, basis_size: int, n: int) -> float:
-    """Eigenvalue n of H on the first ``basis_size`` oscillator states. With
-    w = 2 kappa, ``step`` holds <j|x|j + 1> at j + w + 1 and row w + 1 + d of
-    ``band`` holds <i|x^k|i + d> in column i, exact for i < ``basis_size``."""
+def _hamiltonian(kappa: int, mu: float, basis_size: int) -> np.ndarray:
+    """The lower band of H on the first ``basis_size`` oscillator states:
+    row d holds <i + d|H|i> in column i.  With w = 2 kappa, ``step`` holds
+    <j|x|j + 1> at j + w + 1 and row w + 1 + d of ``band`` holds
+    <i|x^k|i + d> in column i, exact for i < ``basis_size``."""
     w, size = 2 * kappa, basis_size + 2 * kappa
     step = np.pad(np.sqrt(np.arange(1, size) / 2.0), (w + 1, w + 2))
     shifted = step[np.arange(2 * w + 2)[:, None] + np.arange(size)]
@@ -160,12 +149,18 @@ def _spectrum(kappa: int, mu: float, basis_size: int, n: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(w):
             band[1:-1] = band[:-2] * shifted[:-1] + band[2:] * shifted[1:]
-        h = mu * band[w + 1:2 * w + 2][:basis_size, :basis_size]  # lower band
+        h = mu * band[w + 1:2 * w + 2][:basis_size, :basis_size]
     h[0] += np.arange(basis_size) + 0.5
     if not np.isfinite(h).all():
         raise NotConverged(f"x^{w} overflows or mu = {mu} is not finite")
+    return h
+
+
+def _spectrum(kappa: int, mu: float, basis_size: int, n: int) -> float:
+    """Eigenvalue n of H on the first ``basis_size`` oscillator states."""
     from scipy.linalg import eigvals_banded
-    return eigvals_banded(h, lower=True, select="i", select_range=(n, n))[0]
+    return eigvals_banded(_hamiltonian(kappa, mu, basis_size), lower=True,
+                          select="i", select_range=(n, n))[0]
 
 
 def reference_energy(kappa: int, n: int, mu: float, basis_size: int = 200) -> float:
@@ -179,7 +174,7 @@ def reference_energy(kappa: int, n: int, mu: float, basis_size: int = 200) -> fl
         raise IndexOutOfRange(f"level n = {n} outside [0, {basis_size})")
     # <i|x^(2 kappa)|i> >= <i|a^kappa a+^kappa|i> / 2^kappa >= ((i + 1) / 2)^kappa
     # (no entry of a or a+ is negative), so at i = 2 N - 1 of the doubled basis
-    # an entry of at least N^kappa must overflow in _spectrum.
+    # an entry of at least N^kappa must overflow in _hamiltonian.
     if kappa * math.log(basis_size) > math.log(sys.float_info.max):
         raise NotConverged(f"x^{2 * kappa} overflows on {2 * basis_size} states")
     coarse = _spectrum(kappa, mu, basis_size, n)

@@ -73,8 +73,8 @@ def rs_expand(kappa: int, n: int, order: int) -> RSExpansion:
         raise OrderTooHigh(f"order must be >= 0, got {order}")
     if not (0 <= n <= 10):
         raise OrderTooHigh(f"excitation n must be in [0, 10], got {n}")
-    if kappa < 2:
-        raise OrderTooHigh(f"kappa must be >= 2, got {kappa}")
+    if not (2 <= kappa <= 16):  # rs_expand(16, 10, 15) takes about a second
+        raise OrderTooHigh(f"kappa must be in [2, 16], got {kappa}", maximum=16)
     energies = [Fraction(n) + Fraction(1, 2)]
     vectors = [{n: Fraction(1)}]
     for p in range(1, order + 1):
@@ -97,15 +97,12 @@ def rs_expand(kappa: int, n: int, order: int) -> RSExpansion:
 def first_order_matrix_element(kappa: int, n: int) -> float:
     """<n| x^(2 kappa) |n> in units m = w = hbar = 1, double precision.
 
-    Independent cross-check of c_1 via explicit ladder matrix products.
+    Entry n of the diagonal of the Hamiltonian that the spectral reference
+    of ``resummation`` diagonalizes, at mu = 1, less its harmonic part
+    n + 1/2; comparing it with c_1 checks that matrix too.
     """
-    import numpy as np
-    size = n + 2 * kappa + 1
-    x = np.zeros((size, size))
-    for j in range(size - 1):
-        x[j, j + 1] = x[j + 1, j] = np.sqrt((j + 1) / 2.0)
-    power = np.linalg.matrix_power(x, 2 * kappa)
-    return float(power[n, n])
+    from .resummation import _hamiltonian
+    return float(_hamiltonian(kappa, 1.0, n + 1)[0, n] - (n + 0.5))
 
 
 def compare_with_transport(rs: RSExpansion,
@@ -137,6 +134,7 @@ def compare_with_transport(rs: RSExpansion,
         if e_k != rs.coefficients[j]:
             mismatches.append({
                 "order": j,
+                "hbar_order": k,
                 "transport": format_rational(e_k),
                 "rs": format_rational(rs.coefficients[j]),
             })

@@ -317,16 +317,11 @@ class PolySeries:
 
     def laplacian(self) -> "PolySeries":
         view = {}
-        for d, (den, part) in self._view.items():
-            nums: dict = {}
+        for d, part in self._view.items():
+            acc = [part[0], {}]
             for i in range(self.dim):
-                shift = SLOT_BITS * i
-                two = 2 << shift
-                for k, n in part:
-                    if (e := k >> shift & MAX_TRUNC) > 1:
-                        j = k - two
-                        nums[j] = nums.get(j, 0) + n * e * (e - 1)
-            if part := slice_of([den, nums]):
+                add_slice(acc, derive(derive(part, i), i))
+            if part := slice_of(acc):
                 view[d - 2] = part
         return PolySeries._from_view(self.dim, max(self.trunc - 2, 0), view)
 

@@ -179,7 +179,7 @@ def excited_expansion(ground: GroundExpansion, quantum_numbers,
 
 
 def _plain(coeffs: list[Fraction]) -> list[Fraction]:
-    """hbar^k/k! coefficients to plain power-series coefficients."""
+    """Entry k over k!: hbar^k/k! to plain coefficients, or a Borel transform."""
     out, fact = [], 1
     for k, e in enumerate(coeffs):
         fact *= max(k, 1)

@@ -446,6 +446,7 @@ class FlowTrajectory:
 
 _FLOW_RTOL, _FLOW_ATOL = 1e-8, 1e-10
 _ESCAPE_RADIUS = 1e3  # a forward flow has escaped once |gamma| reaches it
+_ARRIVAL_RADIUS = 1e2 * _FLOW_ATOL  # a backward one has reached the origin
 
 
 def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
@@ -453,14 +454,16 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
     """Integrate m gamma' = grad S_0(gamma) from gamma(0) = x, sampling
     grad S_0 on one degree-``nodes`` discretization.
 
-    Backward integration (the default) relaxes to the origin and must retrace
-    the minimizer to x: ``deviation_from_minimizer`` is the largest gap at
-    its nodes inside the integrated span.  Forward integration generically
-    escapes to infinity in finite time, reported in ``escape_time`` once
-    |gamma| reaches _ESCAPE_RADIUS.  The graph p = grad S_0 is invariant
-    under, and forward attracts, the inverted-potential flow gamma' = p/m,
-    p' = grad V, so forward that flow is integrated from p(0) = grad S_0(x):
-    one sample, where the far points would need a degree growing with |gamma|.
+    Backward integration (the default) relaxes to the origin, ending where
+    |gamma| = _ARRIVAL_RADIUS, above its stall at the tolerance, and must
+    retrace the minimizer to x: ``deviation_from_minimizer`` is the largest
+    gap at its nodes inside the integrated span.  Forward integration
+    generically escapes to infinity in finite time, reported in
+    ``escape_time`` once |gamma| reaches _ESCAPE_RADIUS.  The graph
+    p = grad S_0 is invariant under, and forward attracts, the
+    inverted-potential flow gamma' = p/m, p' = grad V, so forward that flow
+    is integrated from p(0) = grad S_0(x): one sample, where the far points
+    would need a degree growing with |gamma|.
     """
     from scipy.integrate import solve_ivp
     provider = MomentumProvider(model, nodes)
@@ -468,26 +471,26 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
     horizon = t_span if t_span is not None else 10.0 / float(model.omega_min)
+    radius = _ESCAPE_RADIUS if forward else _ARRIVAL_RADIUS
+
+    def reached(_t, y):
+        return float(np.linalg.norm(y[:n])) - radius
+    reached.terminal = True
+    reached.direction = 1.0 if forward else -1.0
     if forward:
         jet = provider._ev.jet
 
         def rhs(_t, y):
             return np.concatenate([y[n:] / mass, jet(y[None, :n])[1][0]])
-
-        def escaped(_t, y):
-            return float(np.linalg.norm(y[:n])) - _ESCAPE_RADIUS
-        escaped.terminal = True
-        escaped.direction = 1.0
-        start = np.concatenate([x, provider.momentum(x)])
-        span, events = (0.0, horizon), escaped
+        start, span = np.concatenate([x, provider.momentum(x)]), (0.0, horizon)
     else:
         curve = provider.minimize(x).curve
 
         def rhs(_t, y):
             return provider.momentum(y) / mass
-        start, span, events = x, (0.0, -horizon), None
+        start, span = x, (0.0, -horizon if np.linalg.norm(x) > radius else 0.0)
     sol = solve_ivp(rhs, span, start, method="RK45", rtol=_FLOW_RTOL,
-                    atol=_FLOW_ATOL, dense_output=True, events=events)
+                    atol=_FLOW_ATOL, dense_output=True, events=reached)
     escape_time = deviation = None
     if forward and len(sol.t_events[0]):
         escape_time = float(sol.t_events[0][0])

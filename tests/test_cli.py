@@ -6,8 +6,10 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anharmonic import variational
@@ -56,6 +58,18 @@ class TestExpand:
         assert data["quantum_numbers"] == [1]
         assert data["gap_series"][:2] == ["1", "3"]
 
+    def test_expand_excited_order_zero(self, capsys):
+        """Order 0 is phi_0 and the harmonic gap alone; the ground hierarchy
+        behind it is still solved to order 1."""
+        code, out, _ = run_cli(capsys, "expand-excited",
+                               "--model", "builtin:quartic",
+                               "--levels", "1", "--order", "0")
+        assert code == 0
+        data = json.loads(out)
+        assert data["order"] == 0
+        assert data["gaps"] == ["1"]
+        assert data["total_series"] == ["3/2"]
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.json"
         code, out, _ = run_cli(capsys, "expand-ground",
@@ -89,6 +103,44 @@ class TestRSAndCompare:
         data = json.loads(out)
         assert data["agree"] is True
         assert "AGREE through order 6" in err
+
+    def test_compare_mismatch_names_the_hbar_order(self, capsys, monkeypatch):
+        """A wrong RS c_1 of the sectic (kappa - 1 = 2) shows at hbar order 2."""
+        from anharmonic import cli
+        real = cli.rs_expand
+
+        def wrong_c1(kappa, n, order):
+            rs = real(kappa, n, order)
+            rs.coefficients[1] += 1
+            return rs
+
+        monkeypatch.setattr(cli, "rs_expand", wrong_c1)
+        code, out, err = run_cli(capsys, "compare", "--model", "builtin:sectic",
+                                 "--order", "4")
+        assert code == 0
+        data = json.loads(out)
+        assert data["agree"] is False
+        assert data["first_mismatch"]["order"] == 1
+        assert data["first_mismatch"]["hbar_order"] == 2
+        assert err.strip() == "MISMATCH at order 2"
+
+    @pytest.mark.parametrize("argv", [
+        ("rs", "--kappa", "1000", "--order", "2"),
+        ("compare", "--model", "MODEL", "--order", "2"),
+    ], ids=["rs", "compare"])
+    def test_kappa_beyond_the_budget_is_2_quickly(self, capsys, tmp_path, argv):
+        """x^34 (kappa 17) is one past the largest kappa RS accepts, and
+        compare checks it before any transport work."""
+        path = tmp_path / "model.json"
+        path.write_bytes(model_1d(A={"terms": [{"k": [34], "c": "1"}]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *(str(path) if a == "MODEL" else a
+                                           for a in argv))
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "OrderTooHigh"
+        assert payload["payload"] == {"maximum": 16}
 
 
 class TestNumerics:
@@ -131,6 +183,20 @@ class TestNumerics:
         data = json.loads(out)
         assert data["deviation_from_minimizer"] < 1e-6
         assert data["escape_time"] is None
+
+    def test_flow_backward_stops_at_the_origin(self, capsys):
+        """Even an astronomically long backward span ends where |gamma|
+        reaches the arrival radius, within the decay bound."""
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "flow", "--model", "builtin:quartic",
+                               "--point", "0.5", "--t-span", "1e300")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        data = json.loads(out)
+        traj = variational.FlowTrajectory(times=np.array(data["times"]),
+                                          points=np.array(data["points"]))
+        assert variational.decay_bound_satisfied(traj, 1.0, 0.1)
+        assert data["times"][0] > -30.0
 
     def test_flow_forward_escapes(self, capsys):
         """V = x^2/2 + x^4 has grad S_0 = x (1 + 2 x^2)^(1/2), so the flow
@@ -499,6 +565,31 @@ class TestExitCodes:
         assert payload["error"] == "ModelFormatError"
         assert payload.get("payload", {}).get("index") == index
 
+    @pytest.mark.parametrize("argv, error, message", [
+        (("expand-ground", "--order", "-1"),
+         "IndexOutOfRange", "order must be >= 1, got -1"),
+        (("expand-excited", "--levels", "1", "--order", "-1"),
+         "IndexOutOfRange", "order must be >= 0, got -1"),
+        (("expand-excited", "--levels", "-3"),
+         "IndexOutOfRange", "got [-3]"),
+        (("compare", "--order", "-2"),
+         "OrderTooHigh", "order must be >= 0, got -2"),
+        (("compare", "--n", "-5", "--order", "0"),
+         "OrderTooHigh", "got -5"),
+        (("sternberg", "--degree", "0"),
+         "BadTruncation", "truncation degree must be >= 1, got 0"),
+    ], ids=["expand-ground", "expand-excited", "excited-levels", "compare",
+            "compare-n", "sternberg"])
+    def test_bad_value_is_named_as_given(self, capsys, argv, error, message):
+        """A bad --order, --levels, --n or --degree is reported as passed,
+        not as the truncation degree derived from it."""
+        code, out, err = run_cli(capsys, argv[0], "--model", "builtin:quartic",
+                                 *argv[1:])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == error
+        assert message in payload["message"]
+
     def test_kappa_required_subcommand_is_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compare",
                                "--model", degenerate_model_file(tmp_path))
@@ -540,3 +631,14 @@ def test_every_option_is_passed_in_this_file():
     missing = [opt for opt in sorted(options)
                if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", source)]
     assert missing == []
+
+
+def test_every_error_code_is_its_class_name():
+    """The JSON ``error`` field of every engine error is its class name."""
+    from anharmonic.errors import EngineError
+
+    classes = EngineError.__subclasses__()
+    assert len(classes) == 19
+    for cls in [EngineError, *classes]:
+        assert cls.code == cls.__name__
+        assert cls("message").to_json()["error"] == cls.__name__

@@ -355,6 +355,16 @@ class TestQuarticEnergy:
         fine = abs(borel_pade(series, 0.05, 5, 5) - ref)
         assert fine < coarse / 10.0
 
+    def test_table_entry_on_a_pole_is_null(self):
+        """c_k = k! has the Borel transform 1/(1 - s), so every table entry
+        steps down to [0/1] with a pole at t = 1/mu; [3/0] has none and
+        gives the partial sum 1 + mu + 2 mu^2 + 6 mu^3."""
+        series = [math.factorial(k) for k in range(13)]
+        result = resum_series(series, 0.5, 3, 0)
+        assert result.pade_table == {"[4/4]": None, "[5/5]": None, "[6/6]": None}
+        assert result.borel_pade_value == pytest.approx(2.75, rel=1e-12)
+        assert result.to_json()["pade_table"]["[5/5]"] is None
+
     def test_result_json_shape(self):
         series = quartic_series(10)
         data = resum_series(series, 0.1, 4, 4, kappa=2, n=0).to_json()

@@ -55,6 +55,18 @@ class TestCoefficients:
             rs_expand(2, 11, 4)
         with pytest.raises(OrderTooHigh):
             rs_expand(1, 0, 4)
+        with pytest.raises(OrderTooHigh) as info:
+            rs_expand(17, 0, 1)
+        assert info.value.payload == {"maximum": 16}
+        assert len(rs_expand(16, 0, 1).coefficients) == 2
+
+    @pytest.mark.parametrize("kappa, n, c1", [
+        (2, 0, 0.75), (3, 2, 46.875), (4, 5, 4469.0625)])
+    def test_matrix_element_is_exact(self, kappa, n, c1):
+        """The diagonal of the spectral Hamiltonian at mu = 1, less n + 1/2,
+        is c_1 to the last bit on these cases."""
+        assert first_order_matrix_element(kappa, n) == c1
+        assert rs_expand(kappa, n, 1).coefficients[1] == c1
 
     def test_json_shape(self):
         data = rs_expand(2, 1, 2).to_json()

@@ -1,6 +1,7 @@
 """Variational action minimizer: invariants, oracles, and flow checks."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +252,30 @@ class TestMinimizer:
         assert len(trials) > 1 + result.iterations
         assert result.hj_residual < 1e-11
 
+    def test_ascent_direction_is_a_hypothesis_violation(self, monkeypatch):
+        """No convex input makes the Cholesky step point uphill, so the
+        solve is replaced by one returning the gradient itself."""
+        import scipy.linalg
+        monkeypatch.setattr(scipy.linalg, "cho_solve", lambda factor, b, **kw: -b)
+        with pytest.raises(HypothesisViolation, match="not a descent direction"):
+            minimize_action(quartic(), [0.5])
+
+    def test_exhausted_line_search_raises(self, monkeypatch):
+        """Every trial after the start costs an infinite action, so the 40
+        halvings of the first step all fail."""
+        real = variational._action_and_gradient
+        trials = []
+
+        def uphill(ev, spec, free):
+            action, grad, hess_v = real(ev, spec, free)
+            trials.append(action)
+            return (action if len(trials) == 1 else math.inf), grad, hess_v
+
+        monkeypatch.setattr(variational, "_action_and_gradient", uphill)
+        with pytest.raises(NoConvergence, match="line search failed"):
+            minimize_action(quartic(), [0.5])
+        assert len(trials) == 41
+
     def test_2d_coupled_against_bvp_oracle(self):
         """Independent check: solve the Euler-Lagrange BVP
         gamma'' = grad V(gamma) with scipy and integrate its Lagrangian."""
@@ -398,6 +423,22 @@ class TestSemiFlow:
         exact = math.asinh(1.0) - math.asinh(1e-3)
         assert traj.escape_time == pytest.approx(exact, abs=1e-7)
         assert traj.points[-1, 0] == pytest.approx(1e3, rel=1e-9)
+
+    def test_backward_flow_stops_at_the_origin(self):
+        """Left to run, the flow stalls near 1e-11 at the tolerance
+        _FLOW_ATOL, where the decay bound fails from t = -30 on; it ends at
+        the arrival radius instead (the CLI test runs a span of 1e300)."""
+        start = time.perf_counter()
+        traj = semi_flow(kappa_model(2), [0.5], t_span=30.0)
+        assert time.perf_counter() - start < 5.0
+        assert decay_bound_satisfied(traj, 1.0, 0.1)
+        assert abs(traj.points[0, 0]) == pytest.approx(
+            variational._ARRIVAL_RADIUS, rel=1e-3)
+
+    def test_start_inside_the_arrival_radius_has_arrived(self):
+        traj = semi_flow(kappa_model(2), [1e-9], t_span=1e300)
+        assert traj.times.tolist() == [0.0, 0.0]
+        assert traj.deviation_from_minimizer == 0.0
 
     def test_decay_bound_rejects_slow_decay(self):
         ts = np.linspace(-5.0, 0.0, 50)
