@@ -9,7 +9,8 @@ pole sits on the positive integration ray.
 
 The reference E_n is eigenvalue n of H = p^2/2m + (1/2) m w^2 x^2
 + g x^(2 kappa) (units hbar = m = w = 1, g = mu), a banded matrix in the
-harmonic oscillator basis, and must be stable under basis doubling.
+harmonic oscillator basis diagonalized on the states of the parity of n, and
+must be stable under basis doubling.
 """
 
 from __future__ import annotations
@@ -157,10 +158,15 @@ def _hamiltonian(kappa: int, mu: float, basis_size: int) -> np.ndarray:
 
 
 def _spectrum(kappa: int, mu: float, basis_size: int, n: int) -> float:
-    """Eigenvalue n of H on the first ``basis_size`` oscillator states."""
+    """Eigenvalue n of H on the first ``basis_size`` oscillator states.
+
+    x^(2 kappa) conserves parity, so this is eigenvalue n // 2 of the states
+    of parity n % 2: their band is every other diagonal of H, cut to the
+    block's size when 2 kappa + 1 diagonals outnumber its states."""
     from scipy.linalg import eigvals_banded
-    return eigvals_banded(_hamiltonian(kappa, mu, basis_size), lower=True,
-                          select="i", select_range=(n, n))[0]
+    block = _hamiltonian(kappa, mu, basis_size)[::2, n % 2::2]
+    return eigvals_banded(block[:block.shape[1]], lower=True,
+                          select="i", select_range=(n // 2, n // 2))[0]
 
 
 def reference_energy(kappa: int, n: int, mu: float, basis_size: int = 200) -> float:

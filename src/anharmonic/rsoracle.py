@@ -6,20 +6,27 @@ mu = g hbar^(kappa-1) / (m^kappa w^(kappa+1)).
 
 Algorithm: order-by-order linear recursion on state-vector coefficients in a
 rescaled oscillator basis e_j = |j> / sqrt(j!), in which the ladder operators
-act with integer weights (a e_j = e_{j-1}, a+ e_j = (j+1) e_{j+1}) so every
-intermediate quantity is an exact rational.  With intermediate normalization
-(the e_n component of every correction vector is zero) the order-p energy is
-the e_n component of W applied to the order-(p-1) vector, where
-W = (1/2)^kappa (a + a+)^(2 kappa) in units m = w = hbar = 1.  Each
-correction vector has support within n +/- 2 kappa p, so the computation is
-finite and exact.  This code path shares nothing with the transport engine.
+act with integer weights (a e_j = e_{j-1}, a+ e_j = (j+1) e_{j+1}).  With
+intermediate normalization (the e_n component of every correction vector is
+zero) the order-p energy is the e_n component of W applied to the order-(p-1)
+vector, where W = (1/2)^kappa (a + a+)^(2 kappa) in units m = w = hbar = 1.
+Each correction vector is held as integer numerators over one common
+denominator, (den, {j: num}), reduced by their gcd: W is 2 kappa integer
+ladder sweeps and a shift of den by kappa bits, the right-hand side
+-W v_{p-1} + sum_q E_q v_{p-q} is summed over the lcm of its parts'
+denominators, and dividing entry j by j - n widens the denominator only
+where j - n does not divide the numerator.  Each vector has support within
+n +/- 2 kappa p, so the computation is finite and exact, and the energies
+are the Fractions num_n / den.  This code path shares nothing with the
+transport engine.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import OrderTooHigh
+from .errors import IndexOutOfRange, OrderTooHigh, UnsupportedKappa
 from .series import format_rational
 
 
@@ -45,23 +52,41 @@ class RSExpansion:
         }
 
 
-def _apply_ladder_sum(vec: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Apply (a + a+) to a coefficient vector in the rescaled basis."""
-    out: dict[int, Fraction] = {}
-    for j, c in vec.items():
-        if j >= 1:
-            out[j - 1] = out.get(j - 1, Fraction(0)) + c
-        out[j + 1] = out.get(j + 1, Fraction(0)) + (j + 1) * c
-    return {j: c for j, c in out.items() if c != 0}
-
-
-def _apply_perturbation(vec: dict[int, Fraction], kappa: int) -> dict[int, Fraction]:
-    """Apply W = (1/2)^kappa (a + a+)^(2 kappa)."""
-    out = vec
+def _apply_perturbation(vec: tuple[int, dict[int, int]],
+                        kappa: int) -> tuple[int, dict[int, int]]:
+    """Apply W = (1/2)^kappa (a + a+)^(2 kappa) to ``(den, {j: num})``: 2 kappa
+    integer sweeps of a e_j = e_{j-1}, a+ e_j = (j + 1) e_{j+1}."""
+    den, nums = vec
     for _ in range(2 * kappa):
-        out = _apply_ladder_sum(out)
-    scale = Fraction(1, 2 ** kappa)
-    return {j: c * scale for j, c in out.items()}
+        out: dict[int, int] = {}
+        for j, c in nums.items():
+            if j:
+                out[j - 1] = out.get(j - 1, 0) + c
+            out[j + 1] = out.get(j + 1, 0) + (j + 1) * c
+        nums = out
+    return den << kappa, nums
+
+
+def _next_vector(w_prev: tuple[int, dict[int, int]], energies: list[Fraction],
+                 vectors: list[tuple[int, dict[int, int]]],
+                 n: int) -> tuple[int, dict[int, int]]:
+    """(E^(0) - H0)^-1 (-W v_{p-1} + sum_q E_q v_{p-q}) off e_n, with
+    p = len(vectors), as integer numerators over one reduced denominator."""
+    p = len(vectors)
+    parts = [(-1, w_prev[0], w_prev[1])]
+    parts += [(energies[q].numerator, energies[q].denominator * vectors[p - q][0],
+               vectors[p - q][1]) for q in range(1, p) if energies[q]]
+    den = math.lcm(*(d for _, d, _ in parts))
+    total: dict[int, int] = {}
+    for c, d, nums in parts:
+        scale = c * (den // d)
+        for j, v in nums.items():
+            total[j] = total.get(j, 0) + scale * v
+    total = {j: t for j, t in total.items() if t and j != n}
+    widen = math.lcm(*((j - n) // math.gcd(t, j - n) for j, t in total.items()))
+    nums = {j: t * widen // (j - n) for j, t in total.items()}
+    g = math.gcd(den * widen, *nums.values())
+    return den * widen // g, {j: t // g for j, t in nums.items()}
 
 
 def rs_expand(kappa: int, n: int, order: int) -> RSExpansion:
@@ -73,24 +98,14 @@ def rs_expand(kappa: int, n: int, order: int) -> RSExpansion:
         raise OrderTooHigh(f"order must be >= 0, got {order}")
     if not (0 <= n <= 10):
         raise OrderTooHigh(f"excitation n must be in [0, 10], got {n}")
-    if not (2 <= kappa <= 16):  # rs_expand(16, 10, 15) takes about a second
+    if not (2 <= kappa <= 16):  # rs_expand(16, 10, 15): 0.07-0.1 s on a 2-core Xeon
         raise OrderTooHigh(f"kappa must be in [2, 16], got {kappa}", maximum=16)
     energies = [Fraction(n) + Fraction(1, 2)]
-    vectors = [{n: Fraction(1)}]
-    for p in range(1, order + 1):
-        w_prev = _apply_perturbation(vectors[p - 1], kappa)
-        e_p = w_prev.get(n, Fraction(0))
-        energies.append(e_p)
-        new_vec: dict[int, Fraction] = {}
-        for j in set(w_prev) | {j for v in vectors[1:] for j in v}:
-            if j == n:
-                continue
-            total = -w_prev.get(j, Fraction(0))
-            for q in range(1, p):
-                total += energies[q] * vectors[p - q].get(j, Fraction(0))
-            if total != 0:
-                new_vec[j] = total / (j - n)
-        vectors.append(new_vec)
+    vectors = [(1, {n: 1})]
+    for _ in range(order):
+        w_prev = _apply_perturbation(vectors[-1], kappa)
+        energies.append(Fraction(w_prev[1].get(n, 0), w_prev[0]))
+        vectors.append(_next_vector(w_prev, energies, vectors, n))
     return RSExpansion(kappa, n, order, energies)
 
 
@@ -101,6 +116,10 @@ def first_order_matrix_element(kappa: int, n: int) -> float:
     of ``resummation`` diagonalizes, at mu = 1, less its harmonic part
     n + 1/2; comparing it with c_1 checks that matrix too.
     """
+    if kappa < 1:
+        raise UnsupportedKappa(f"kappa must be >= 1, got {kappa}")
+    if n < 0:
+        raise IndexOutOfRange(f"level n = {n} must be >= 0")
     from .resummation import _hamiltonian
     return float(_hamiltonian(kappa, 1.0, n + 1)[0, n] - (n + 0.5))
 

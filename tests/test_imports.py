@@ -173,3 +173,43 @@ def test_guard_sees_key_layout_uses():
                          ids=lambda p: p.name)
 def test_only_series_knows_the_key_layout(path):
     assert key_layout_uses(path.read_text(encoding="utf-8")) == []
+
+
+def oracle_engine_imports(source: str) -> list[str]:
+    """Every import, at any depth, by which a module takes anything from the
+    transport engine (``transport``, ``hjformal``) or anything but
+    ``format_rational`` from ``series``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):  # import anharmonic.series
+            pairs = [(alias.name.split(".")[1], "*") for alias in node.names
+                     if alias.name.startswith("anharmonic.")]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "anharmonic"):
+            module = (node.module or "").removeprefix("anharmonic").lstrip(".")
+            pairs = ([(module, alias.name) for alias in node.names] if module
+                     else [(alias.name, "*") for alias in node.names])  # from . import x
+        else:
+            continue
+        found += [(node.lineno, f"{module}.{name}") for module, name in pairs
+                  if module in {"transport", "hjformal"}
+                  or (module == "series" and name != "format_rational")]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_guard_sees_oracle_engine_imports():
+    source = ("from .series import format_rational, PolySeries\n"
+              "from .errors import OrderTooHigh\n"
+              "def f():\n    from .transport import _plain\n"
+              "    from . import hjformal, resummation\n"
+              "import anharmonic.series\n"
+              "from anharmonic.hjformal import solve_hj_formal\n")
+    assert oracle_engine_imports(source) == [
+        "series.PolySeries (line 1)", "transport._plain (line 4)",
+        "hjformal.* (line 5)", "series.* (line 6)",
+        "hjformal.solve_hj_formal (line 7)"]
+
+
+def test_rsoracle_shares_nothing_with_the_transport_engine():
+    source = (SRC / "anharmonic" / "rsoracle.py").read_text(encoding="utf-8")
+    assert oracle_engine_imports(source) == []

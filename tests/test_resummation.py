@@ -299,6 +299,22 @@ class TestBandedReference:
             diag = np.diag(np.linalg.matrix_power(x, 2 * kappa))[:size - kappa]
             assert (diag >= ((i + 1) / 2.0) ** kappa * (1 - 1e-12)).all()
 
+    @pytest.mark.parametrize("kappa, mu", [(2, 0.1), (3, 0.01), (4, 0.001)])
+    def test_parity_block_matches_full_band(self, kappa, mu):
+        """Level n is eigenvalue n // 2 of the parity-(n % 2) block: the same
+        eigenvalue as the full band and the dense Rayleigh quotients within
+        1e-12 for both parities (these couplings keep eps * ||H||_1 of the
+        40 states near or below 1e-12; 3.3e-13 seen at kappa = 4)."""
+        from scipy.linalg import eigvals_banded
+        basis = 40
+        full = eigvals_banded(resummation._hamiltonian(kappa, mu, basis),
+                              lower=True, select="i", select_range=(0, 9))
+        rayleigh = dense_rayleigh(kappa, mu, basis, 10)
+        for n in range(10):
+            value = resummation._spectrum(kappa, mu, basis, n)
+            assert value == pytest.approx(full[n], abs=1e-12)
+            assert value == pytest.approx(rayleigh[n], abs=1e-12)
+
     def test_band_wider_than_basis(self):
         """2 kappa + 1 diagonals may outnumber the basis states; LAPACK then
         gets only the diagonals that exist."""

@@ -4,12 +4,65 @@ from fractions import Fraction
 
 import pytest
 
-from anharmonic.errors import OrderTooHigh
+from anharmonic.errors import IndexOutOfRange, OrderTooHigh, UnsupportedKappa
 from anharmonic.rsoracle import (
     compare_with_transport,
     first_order_matrix_element,
     rs_expand,
 )
+
+
+def fraction_rs_coefficients(kappa, n, order):
+    """The former recursion: every correction vector a dict of Fractions in
+    the rescaled basis e_j = |j> / sqrt(j!), W applied as 2 kappa ladder
+    sweeps and a scaling by 2^-kappa."""
+    def ladder_sum(vec):
+        out = {}
+        for j, c in vec.items():
+            if j >= 1:
+                out[j - 1] = out.get(j - 1, Fraction(0)) + c
+            out[j + 1] = out.get(j + 1, Fraction(0)) + (j + 1) * c
+        return {j: c for j, c in out.items() if c != 0}
+
+    def perturbation(vec):
+        for _ in range(2 * kappa):
+            vec = ladder_sum(vec)
+        return {j: c * Fraction(1, 2 ** kappa) for j, c in vec.items()}
+
+    energies = [Fraction(n) + Fraction(1, 2)]
+    vectors = [{n: Fraction(1)}]
+    for p in range(1, order + 1):
+        w_prev = perturbation(vectors[p - 1])
+        energies.append(w_prev.get(n, Fraction(0)))
+        new_vec = {}
+        for j in set(w_prev) | {j for v in vectors[1:] for j in v}:
+            if j == n:
+                continue
+            total = -w_prev.get(j, Fraction(0))
+            for q in range(1, p):
+                total += energies[q] * vectors[p - q].get(j, Fraction(0))
+            if total != 0:
+                new_vec[j] = total / (j - n)
+        vectors.append(new_vec)
+    return energies
+
+
+class TestIntegerRecursion:
+    @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_fraction_recursion(self, kappa, n):
+        """Every order 0..15: the integer vectors over one denominator give
+        the same Fractions as the former recursion."""
+        expect = fraction_rs_coefficients(kappa, n, 15)
+        for order in range(16):
+            assert rs_expand(kappa, n, order).coefficients == expect[:order + 1]
+
+    def test_matches_at_the_caps(self):
+        assert rs_expand(16, 10, 15).coefficients == \
+            fraction_rs_coefficients(16, 10, 15)
+
+    def test_order_zero(self):
+        assert rs_expand(7, 3, 0).coefficients == [Fraction(7, 2)]
 
 
 class TestCoefficients:
@@ -67,6 +120,16 @@ class TestCoefficients:
         is c_1 to the last bit on these cases."""
         assert first_order_matrix_element(kappa, n) == c1
         assert rs_expand(kappa, n, 1).coefficients[1] == c1
+
+    @pytest.mark.parametrize("kappa", [0, -1])
+    def test_matrix_element_rejects_kappa_below_one(self, kappa):
+        with pytest.raises(UnsupportedKappa):
+            first_order_matrix_element(kappa, 0)
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_matrix_element_rejects_negative_level(self, n):
+        with pytest.raises(IndexOutOfRange):
+            first_order_matrix_element(2, n)
 
     def test_json_shape(self):
         data = rs_expand(2, 1, 2).to_json()
