@@ -180,8 +180,9 @@ def _cmd_compare(args):
     rs = rs_expand(kappa, args.n, args.order // (kappa - 1))
     # the comparison lives in the dimensionless coupling, so normalize g = 1
     normalized = kappa_model(kappa)
-    # the ground energy list covers hbar orders 0..K-1, so solve one deeper
-    action = solve_hj_formal(normalized, 2 * (args.order + 1) + args.n + 2)
+    # the ground energy list covers hbar orders 0..K-1, so solve one deeper;
+    # only energies are read, so S_0 goes just as deep as both hierarchies need
+    action = solve_hj_formal(normalized, 2 * args.order + max(2, args.n + 1))
     ground = ground_expansion(action, args.order + 1)
     if args.n == 0:
         series = energy_series(ground)

@@ -28,6 +28,8 @@ Laplacian), phi_0 through min(D, D + |m| - 2) (for |m| = 1 its degree-D
 slice would need S_0 at degree D + 1) and the k-th excited correction
 through D - 2k - 1.  Each series is labelled with that degree.  The
 constructors enforce these bounds and fail loudly when D is too small.
+Both factors of each gradient product are cut to the truncation of the
+solve that reads it, so no product builds a slice the solve never reads.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ class ExcitedExpansion:
         self.gaps = list(gaps)
 
 
+def _cut(grads: list[PolySeries], trunc: int) -> list[PolySeries]:
+    """Each gradient component cut to ``trunc``, the solve's truncation, so
+    a product builds no slice the solve never reads (never relabelled
+    upward)."""
+    return [g.with_truncation(min(trunc, g.trunc)) for g in grads]
+
+
 def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
     """Solve the ground-state transport hierarchy through ``order``."""
     if order < 1:
@@ -85,10 +94,13 @@ def ground_expansion(action: FormalAction, order: int) -> GroundExpansion:
     grads = [None]  # grad S_j for 1 <= j < order; grad S_0 is never read
     energies: list[Fraction] = []
     for k in range(1, order + 1):
-        rhs = [(corrections[k - 1].laplacian(), k * inv_2m)]
+        lap = corrections[k - 1].laplacian()
+        rhs = [(lap, k * inv_2m)]
         for j in range(1, k // 2 + 1):
             weight = comb(k, j) * (1 if 2 * j == k else 2)
-            rhs.append((dot_gradients(grads[j], grads[k - j]), -weight * inv_2m))
+            rhs.append((dot_gradients(_cut(grads[j], lap.trunc),
+                                      _cut(grads[k - j], lap.trunc)),
+                        -weight * inv_2m))
         sk, lam = solve_transport(action, 0, min(s.trunc for s, _ in rhs), rhs,
                                   kernel=PolySeries.constant(1, model.dim, 0))
         energies.append(-lam / k)
@@ -165,12 +177,15 @@ def excited_expansion(ground: GroundExpansion, quantum_numbers,
     gaps = [gap0]
     for k in range(1, order + 1):
         phi_grads.append(corrections[k - 1].gradient())
-        rhs = [(corrections[k - 1].laplacian(), k * inv_2m)]
+        lap = corrections[k - 1].laplacian()
+        rhs = [(lap, k * inv_2m)]
         for j in range(1, k + 1):
             c_kj = comb(k, j)
             if j < k:
                 rhs.append((corrections[k - j], c_kj * gaps[j]))
-            rhs.append((dot_gradients(grads[j - 1], phi_grads[k - j]), -c_kj * inv_m))
+            rhs.append((dot_gradients(_cut(grads[j - 1], lap.trunc),
+                                      _cut(phi_grads[k - j], lap.trunc)),
+                        -c_kj * inv_m))
         phik, gap_k = solve_transport(action, gap0, min(s.trunc for s, _ in rhs),
                                       rhs, kernel=phi0)
         corrections.append(phik)

@@ -25,10 +25,13 @@ and of its first and second derivatives are evaluated once per point set
 
 The momentum grad S_0(x) is the endpoint entry of the discrete action
 gradient, dI/dgamma(1), and its x-derivative Hess S_0(x) is the Schur
-complement of the interior block in the discrete action Hessian.  Also
-here: sampled coercivity/convexity hypothesis checks, the gradient
-semi-flow integrator (which must retrace the minimizer curve), and the
-numerical first transport integral
+complement of the interior block in the discrete action Hessian.  Both
+come from one lean minimization (``_solve``: Newton and the resolution
+check, nothing else); only ``MomentumProvider.minimize`` derives the
+velocities, energy drift, HJ residual and node times of a full report.
+Also here: sampled coercivity/convexity hypothesis checks, the gradient
+semi-flow integrator (DOP853 on lean momentum samples; it must retrace the
+minimizer curve), and the numerical first transport integral
 
     S_1(x) = int_{-inf}^{0} [ (lap S_0)/(2m) - sum_j omega_j / 2 ](gamma(t)) dt,
 
@@ -335,15 +338,24 @@ def minimize_action(model: OscillatorModel, x, nodes: int = NODES) -> Variationa
     return MomentumProvider(model, nodes).minimize(x)
 
 
-def _solve(ev: _ModelEval, spec: _Spectral, x):
-    """The minimizer to x on a built discretization, and Hess V at its
-    Gauss points."""
+class _Minimum(NamedTuple):
+    """A resolved discrete minimizer, as Newton leaves it."""
+    points: np.ndarray  # (N+1, dim) curve values at the nodes; points[0] = 0
+    action: float
+    grad: np.ndarray  # (N, dim) action gradient; grad[-1] = grad S_0(x)
+    hess_v: np.ndarray  # (2N, dim, dim) Hess V at the Gauss points
+    iterations: int
+
+
+def _solve(ev: _ModelEval, spec: _Spectral, x) -> _Minimum:
+    """The minimizer to x on a built discretization, checked for resolution.
+    Nothing else is derived here, so a gradient sample pays for the Newton
+    solve alone."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (ev.dim,):
         raise GradientProviderFailure(
             f"target point has shape {x.shape}, expected ({ev.dim},)")
     s = spec.nodes
-    nodes = s.size - 1
     # the linearized minimizer x_i exp(omega_i t)
     free0 = x[None, :] * s[1:, None] ** ev.powers[None, :]
     free, action, grad, hess_v, iters = _newton(ev, spec, free0, _TOL)
@@ -351,24 +363,12 @@ def _solve(ev: _ModelEval, spec: _Spectral, x):
     coeffs = np.abs(spec.cheb @ pts)
     tail = float(coeffs[-2:].max() / coeffs.max()) if coeffs.max() > 0.0 else 0.0
     if tail > _TAIL_TOL:
+        nodes = s.size - 1
         raise NoConvergence(
             f"the degree-{nodes} curve is under-resolved: its last two "
             f"Chebyshev coefficients reach {tail:.3g} of the largest",
             tail=tail, nodes=nodes)
-    momentum = grad[-1]
-    vel = ev.rate * s[:, None] * (spec.diff @ free)  # gamma_t = c s gamma_s
-    v = ev.potential(pts)
-    energy = 0.5 * ev.mass * (vel ** 2).sum(axis=1) - v
-    hj = abs(float((momentum ** 2).sum()) / (2.0 * ev.mass) - float(v[-1]))
-    times = np.empty(nodes + 1)
-    times[0] = -np.inf
-    times[1:] = np.log(s[1:]) / ev.rate
-    result = VariationalResult(
-        curve=CurveGrid(times=times, points=pts),
-        action=action, momentum=momentum,
-        ip_energy_drift=float(np.abs(energy).max()), hj_residual=hj,
-        iterations=iters)
-    return result, hess_v
+    return _Minimum(pts, action, grad, hess_v, iters)
 
 
 # -- the discretized model -----------------------------------------------------
@@ -396,10 +396,27 @@ class MomentumProvider:
                 f"(and at most {_MAX_NODES})", exponent=top, nodes=nodes)
 
     def minimize(self, x) -> VariationalResult:
-        return _solve(self._ev, self._spec, x)[0]
+        """The minimizer to x with its velocities, energy drift, HJ
+        residual and node times."""
+        ev, spec = self._ev, self._spec
+        pts, action, grad, _, iters = _solve(ev, spec, x)
+        s = spec.nodes
+        momentum = grad[-1]
+        vel = ev.rate * s[:, None] * (spec.diff @ pts[1:])  # gamma_t = c s gamma_s
+        v = ev.potential(pts)
+        energy = 0.5 * ev.mass * (vel ** 2).sum(axis=1) - v
+        hj = abs(float((momentum ** 2).sum()) / (2.0 * ev.mass) - float(v[-1]))
+        times = np.empty(s.size)
+        times[0] = -np.inf
+        times[1:] = np.log(s[1:]) / ev.rate
+        return VariationalResult(
+            curve=CurveGrid(times=times, points=pts),
+            action=action, momentum=momentum,
+            ip_energy_drift=float(np.abs(energy).max()), hj_residual=hj,
+            iterations=iters)
 
     def _sample(self, x):
-        """The minimizer to x and Hess V at its Gauss points."""
+        """The lean minimization to x, as returned by ``_solve``."""
         try:
             return _solve(self._ev, self._spec, x)
         except (NoConvergence, HypothesisViolation) as exc:
@@ -407,7 +424,7 @@ class MomentumProvider:
                 f"gradient sample failed at {np.ravel(x).tolist()}: {exc}") from exc
 
     def momentum(self, x) -> np.ndarray:
-        return self._sample(x)[0].momentum
+        return self._sample(x).grad[-1]
 
     def hessian(self, x) -> np.ndarray:
         """Hess S_0(x) as the x-derivative of the discrete momentum.
@@ -418,7 +435,7 @@ class MomentumProvider:
         K_xx - K_xi K_ii^-1 K_ix of the discrete action Hessian K.
         """
         from scipy.linalg import cho_factor, cho_solve
-        hess = _action_hessian(self._ev, self._spec, self._sample(x)[1])
+        hess = _action_hessian(self._ev, self._spec, self._sample(x).hess_v)
         n = self._ev.dim
         inner = cho_factor(hess[:-n, :-n], check_finite=False)
         out = hess[-n:, -n:] - hess[-n:, :-n] @ cho_solve(
@@ -451,8 +468,11 @@ _ARRIVAL_RADIUS = 1e2 * _FLOW_ATOL  # a backward one has reached the origin
 
 def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
               t_span: float | None = None, forward: bool = False) -> FlowTrajectory:
-    """Integrate m gamma' = grad S_0(gamma) from gamma(0) = x, sampling
-    grad S_0 on one degree-``nodes`` discretization.
+    """Integrate m gamma' = grad S_0(gamma) from gamma(0) = x with DOP853,
+    sampling grad S_0 on one degree-``nodes`` discretization.  Each
+    right-hand side is one lean minimization (``MomentumProvider.momentum``),
+    and the eighth-order steps need far fewer of them than RK45 at this
+    tolerance; ``times`` and ``points`` hold the accepted steps.
 
     Backward integration (the default) relaxes to the origin, ending where
     |gamma| = _ARRIVAL_RADIUS, above its stall at the tolerance, and must
@@ -489,7 +509,7 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
         def rhs(_t, y):
             return provider.momentum(y) / mass
         start, span = x, (0.0, -horizon if np.linalg.norm(x) > radius else 0.0)
-    sol = solve_ivp(rhs, span, start, method="RK45", rtol=_FLOW_RTOL,
+    sol = solve_ivp(rhs, span, start, method="DOP853", rtol=_FLOW_RTOL,
                     atol=_FLOW_ATOL, dense_output=True, events=reached)
     escape_time = deviation = None
     if forward and len(sol.t_events[0]):

@@ -169,6 +169,49 @@ class TestExcited:
             assert high.with_truncation(label) == low
         assert phi0(1, 8).coefficient((7,)) == Fraction(-1, 200)
 
+    def test_products_stop_at_the_solve_truncation(self, monkeypatch):
+        """Each gradient product is built only through the degree that its
+        solve reads."""
+        from anharmonic import transport
+        model = OscillatorModel(1, [Fraction(1), Fraction(3, 2)],
+                                PolySeries(2, 4, {(3, 0): Fraction(1, 5),
+                                                  (2, 2): Fraction(1, 7)}))
+        products, solves = [], []
+        real_dot, real_solve = transport.dot_gradients, transport.solve_transport
+
+        def dot(a, b):
+            out = real_dot(a, b)
+            products.append(out.trunc)
+            return out
+
+        def solve(action, shift, trunc, *args, **kwargs):
+            solves.append((trunc, products[:]))
+            products.clear()
+            return real_solve(action, shift, trunc, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "dot_gradients", dot)
+        monkeypatch.setattr(transport, "solve_transport", solve)
+        excited_expansion(expand(model, 4, trunc=12), [1, 1], 3)
+        # ground orders 1..4 build 0, 1, 1, 2 products, excited 1..3 build 1, 2, 3
+        assert sum(len(built) for _, built in solves) == 4 + 6
+        assert all(t == trunc for trunc, built in solves for t in built)
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_least_truncation_gives_the_same_energies(self, kappa):
+        """``compare`` solves S_0 at 2 order + max(2, n + 1), the least
+        truncation both hierarchies accept; the deeper 2 (order + 1) + n + 2
+        gives the same energies."""
+        model = kappa_model(kappa)
+        for order in range(5):
+            for n in range(4):
+                series = []
+                for trunc in (2 * order + max(2, n + 1), 2 * (order + 1) + n + 2):
+                    ground = expand(model, order + 1, trunc=trunc)
+                    series.append(energy_series(ground) if n == 0 else
+                                  total_energy_series(
+                                      ground, excited_expansion(ground, [n], order)))
+                assert series[0] == series[1]
+
     def test_excited_budget_enforced(self):
         ground = expand(kappa_model(2), 2, trunc=6)
         with pytest.raises(TruncationTooSmall):

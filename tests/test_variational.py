@@ -1,6 +1,7 @@
 """Variational action minimizer: invariants, oracles, and flow checks."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -397,6 +398,13 @@ class TestHessian:
         expect = np.diag([2.0, 3.0])
         assert np.abs(hess - expect).max() <= 1e-12 * 3.0
 
+    def test_momentum_is_the_minimizer_endpoint_gradient(self):
+        """The lean sample and the full report come from one minimization."""
+        provider = MomentumProvider(coupled_unequal_2d())
+        for x in ([0.5, -0.3], [0.9, 0.7], [-0.2, 0.1]):
+            assert np.array_equal(provider.momentum(x),
+                                  provider.minimize(x).momentum)
+
     def test_failure_is_provider_failure(self):
         provider = MomentumProvider(kappa_model(2, g=Fraction(-1, 4)))
         with pytest.raises(GradientProviderFailure):
@@ -439,6 +447,44 @@ class TestSemiFlow:
         traj = semi_flow(kappa_model(2), [1e-9], t_span=1e300)
         assert traj.times.tolist() == [0.0, 0.0]
         assert traj.deviation_from_minimizer == 0.0
+
+    def test_backward_flow_samples_through_momentum(self, monkeypatch):
+        """Every minimization but the curve's is a momentum sample, so
+        wrapping MomentumProvider.momentum sees all of the flow's work;
+        DOP853 steps need few of them."""
+        depth, inside, outside = [0], [], []
+        real_solve, real_momentum = variational._solve, MomentumProvider.momentum
+
+        def solve(*args):
+            (inside if depth[0] else outside).append(args[2])
+            return real_solve(*args)
+
+        def momentum(self, x):
+            depth[0] += 1
+            try:
+                return real_momentum(self, x)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(variational, "_solve", solve)
+        monkeypatch.setattr(MomentumProvider, "momentum", momentum)
+        traj = semi_flow(quartic(), [1.0], t_span=8.0)
+        assert len(outside) == 1
+        assert len(inside) <= 320
+        assert traj.deviation_from_minimizer < 1e-8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backward_flow_on_convex_2d_quartics(self, seed):
+        """perfbench's 2D family: omega = (1, 3/2), x1^4 and x2^4 couplings
+        in [2, 5]/16, x1^2 x2^2 in [1, 3]/32, starts in [0.5, 0.9]^2."""
+        rng = random.Random(seed)
+        A = PolySeries(2, 4, {(4, 0): Fraction(rng.randint(2, 5), 16),
+                              (2, 2): Fraction(rng.randint(1, 3), 32),
+                              (0, 4): Fraction(rng.randint(2, 5), 16)})
+        model = OscillatorModel(1, [Fraction(1), Fraction(3, 2)], A)
+        traj = semi_flow(model, [rng.uniform(0.5, 0.9) for _ in range(2)])
+        assert traj.deviation_from_minimizer < 1e-7
+        assert decay_bound_satisfied(traj, 1.0, 0.1)
 
     def test_decay_bound_rejects_slow_decay(self):
         ts = np.linspace(-5.0, 0.0, 50)
