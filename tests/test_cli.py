@@ -529,6 +529,28 @@ class TestExitCodes:
         assert json.loads(err.strip())["error"] == "IndexOutOfRange"
 
     @pytest.mark.parametrize("argv, error", [
+        (("--pade", "30,30", "--kappa", "0"), "UnsupportedKappa"),
+        (("--basis", "40"), "NotConverged"),
+        (("--n", "200"), "IndexOutOfRange"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_resum_checks_reference_before_pade(self, capsys, monkeypatch, argv,
+                                                error):
+        """kappa, n and the basis size are checked before any Pade solve:
+        [30/30] would need 61 of the builtin's 12 coefficients, and the
+        basis floor fails without paying for the Pade table first."""
+        from anharmonic import resummation
+
+        def unreachable(*_args):
+            raise AssertionError("pade_coefficients called")
+
+        monkeypatch.setattr(resummation, "pade_coefficients", unreachable)
+        code, out, err = run_cli(capsys, "resum", "--series",
+                                 "builtin:quartic-ground", "--mu", "0.3", *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip())["error"] == error
+
+    @pytest.mark.parametrize("argv, error", [
         (("--kappa", "-1"), "UnsupportedKappa"),
         (("--kappa", "0"), "UnsupportedKappa"),
         (("--kappa", "2", "--n", "500"), "IndexOutOfRange"),

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from scipy.integrate import quad
 
 from anharmonic.closedform import (
     Kappa1DModel,
@@ -47,6 +48,17 @@ class TestS0:
         x = Fraction(1, 10)
         expect = float(action.S0.evaluate_exact((x,)))
         assert s0_closed(cf, 0.1) == pytest.approx(expect, rel=1e-11)
+
+    @pytest.mark.parametrize("kappa", [3, 4, 5])
+    def test_higher_kappa_quadrature_matches_quad(self, kappa):
+        """The Gauss-Legendre integral of sqrt(2 m V) agrees with scipy's
+        adaptive quad to 1e-13 relative, on both sides of the origin."""
+        for g in (0.05, 0.5, 4.0):
+            cf = Kappa1DModel(mass=1.3, omega0=0.8, g=g, kappa=kappa)
+            for x in (0.01, 0.3, -0.7, 1.0, 2.5, -6.0):
+                expect, _ = quad(lambda s: math.sqrt(2.0 * cf.mass * cf.potential(s)),
+                                 0.0, abs(x), epsabs=1e-14, epsrel=1e-12, limit=200)
+                assert s0_closed(cf, x) == pytest.approx(expect, rel=1e-13, abs=0)
 
 
 class TestS1S2:

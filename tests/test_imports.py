@@ -80,31 +80,86 @@ _FRESH_CLI = textwrap.dedent("""
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
     out = sys.argv[1]
+    with open(f"{out}/series.json", "w") as f:
+        f.write('["1/2", "3/4", "-21/8", "333/16", "-30885/128"]')
     for i, argv in enumerate((
             ["expand-ground", "--model", "builtin:quartic"],
             ["expand-excited", "--model", "builtin:quartic", "--levels", "1"],
             ["sternberg", "--model", "builtin:quartic"],
             ["rs", "--kappa", "2"],
             ["compare", "--model", "builtin:quartic"],
-            ["check-model", "--model", "builtin:quartic"])):
+            ["check-model", "--model", "builtin:quartic"],
+            ["resum", "--series", f"{out}/series.json", "--mu", "0.2",
+             "--pade", "2,2"],
+            ["scan", "--engine", "closed", "--model", "builtin:sectic",
+             "--grid=-1:1:5"])):
         assert main([*argv, "--output", f"{out}/{i}.json"]) == 0, argv
     assert scipy_loaded() == [], scipy_loaded()
+    assert main(["resum", "--series", "builtin:quartic-ground", "--mu", "0.2",
+                 "--output", f"{out}/resum.json"]) == 0
+    assert "scipy.linalg" in sys.modules
+    assert "scipy.integrate" not in sys.modules, scipy_loaded()
     assert main(["variational", "--model", "builtin:quartic", "--point", "0.7",
                  "--output", f"{out}/variational.json"]) == 0
-    assert "scipy.linalg" in sys.modules
     assert "scipy.integrate" not in sys.modules, scipy_loaded()
 """)
 
 
 def test_exact_subcommands_never_load_scipy(tmp_path):
     """A fresh interpreter (this one holds scipy already) runs the six exact
-    subcommands without loading scipy; ``variational`` then loads
+    subcommands, a ``resum`` without a reference and a sextic
+    ``scan --engine closed`` (its S_0 by numpy quadrature) without loading
+    scipy; a ``resum`` with a reference and ``variational`` then load
     ``scipy.linalg`` but not ``scipy.integrate``."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def scipy_integrate_importers(sources: dict[str, str]) -> list[str]:
+    """Every function, as module.qualified_name, with an import of
+    ``scipy.integrate`` anywhere in its body (a nested function's import
+    counts for the nested function)."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+                names.append(child.module)
+            else:
+                names = []
+            if scope and any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+                             for n in names):
+                found.append(f"{module}.{'.'.join(scope)}")
+            visit(child, module, scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, [])
+    return sorted(set(found))
+
+
+def test_guard_sees_scipy_integrate_importers():
+    source = ("import scipy.integrate\n"
+              "def f():\n    from scipy.integrate import quad\n"
+              "def g():\n    from scipy import integrate\n"
+              "class C:\n    def h(self):\n        if True:\n"
+              "            import scipy.integrate as si\n"
+              "def k():\n    def inner():\n        from scipy.linalg import eigh\n")
+    assert scipy_integrate_importers({"m": source}) == ["m.C.h", "m.f", "m.g"]
+
+
+def test_only_semi_flow_imports_scipy_integrate():
+    assert scipy_integrate_importers(
+        {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) \
+        == ["variational.semi_flow"]
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:

@@ -87,11 +87,29 @@ def fraction_solve(matrix, rhs):
 
 
 def fraction_pade(monkeypatch, series, p, q):
-    """pade_coefficients, step-down loop included, on the former solve."""
+    """pade_coefficients, step-down loop included, on the former solve: it
+    returns the solution itself, so det = 1 in the integer contract."""
     with monkeypatch.context() as patch:
-        patch.setattr(resummation, "_exact_solve", lambda rows: fraction_solve(
-            [row[:-1] for row in rows], [row[-1] for row in rows]))
+        patch.setattr(resummation, "_exact_solve", lambda rows: (1, fraction_solve(
+            [row[:-1] for row in rows], [row[-1] for row in rows])))
         return pade_coefficients(series, p, q)
+
+
+def integer_rows(rows):
+    """Each Fraction row times the lcm of its denominators: the same
+    solution on integers."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
+
+
+def exact_solution(rows):
+    """resummation._exact_solve on integer rows, as Fractions."""
+    det, xs = resummation._exact_solve(rows)
+    assert all(type(v) is int for v in (det, *xs))
+    return [Fraction(v, det) for v in xs]
 
 
 def borel_transform(series):
@@ -176,6 +194,26 @@ class TestBorelPade:
         assert top / bot == 1 / (1 + s)
 
 
+class TestLaplaceQuadrature:
+    @pytest.mark.parametrize("p, q", RESUM_ORDERS)
+    def test_matches_quad(self, quartic24, p, q):
+        """On the same exact Pade of the 24-coefficient quartic series, the
+        Gauss-Legendre Laplace integral agrees with scipy's adaptive quad to
+        1e-13 relative."""
+        num, den = pade_coefficients(borel_transform(quartic24), p, q)
+        num_f, den_f = [float(c) for c in num], [float(c) for c in den]
+
+        def poly(coeffs, s):
+            return sum(c * s ** k for k, c in enumerate(coeffs))
+
+        for mu in (0.05, 0.3, 1.0):
+            expect, _ = quad(lambda t: math.exp(-t) * poly(num_f, mu * t)
+                             / poly(den_f, mu * t), 0.0, resummation._TAIL_CUTOFF,
+                             epsabs=1e-13, epsrel=1e-12, limit=400)
+            assert borel_pade(quartic24, mu, p, q) == pytest.approx(
+                expect, rel=1e-13, abs=0), mu
+
+
 class TestExactSolve:
     def test_quartic_orders_match_fraction_solve(self, monkeypatch, quartic24):
         borel = borel_transform(quartic24)
@@ -198,14 +236,15 @@ class TestExactSolve:
     def test_singular_system_raises(self):
         rows = [[Fraction(1, 3), Fraction(2, 5), Fraction(1)],
                 [Fraction(2, 3), Fraction(4, 5), Fraction(3)]]
-        for solve in (resummation._exact_solve, lambda rows: fraction_solve(
-                [row[:-1] for row in rows], [row[-1] for row in rows])):
-            with pytest.raises(InsufficientCoefficients):
-                solve(rows)
+        with pytest.raises(InsufficientCoefficients):
+            resummation._exact_solve(integer_rows(rows))
+        with pytest.raises(InsufficientCoefficients):
+            fraction_solve([row[:-1] for row in rows], [row[-1] for row in rows])
 
     def test_random_systems_match_fraction_solve(self):
         """Sparse small-integer ratios hit zero pivots, row swaps and
-        singular systems; both solves agree on each."""
+        singular systems; both solves agree on each, the integer solve on
+        the rows scaled to integers one by one."""
         rng = random.Random(5)
         outcomes = set()
         for _ in range(300):
@@ -217,10 +256,10 @@ class TestExactSolve:
                                         [r[-1] for r in rows])
             except InsufficientCoefficients:
                 with pytest.raises(InsufficientCoefficients):
-                    resummation._exact_solve(rows)
+                    resummation._exact_solve(integer_rows(rows))
                 outcomes.add("singular")
                 continue
-            assert resummation._exact_solve(rows) == expect
+            assert exact_solution(integer_rows(rows)) == expect
             outcomes.add("swap" if rows[0][0] == 0 else "solved")
         assert outcomes == {"singular", "swap", "solved"}
 
