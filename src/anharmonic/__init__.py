@@ -57,7 +57,6 @@ from .variational import (
     MomentumProvider,
     VariationalResult,
     check_hypotheses,
-    decay_bound_satisfied,
     minimize_action,
     numeric_s1,
     semi_flow,

@@ -237,8 +237,12 @@ def _cmd_flow(args):
 def _cmd_resum(args):
     kappa = args.kappa
     if args.series == "builtin:quartic-ground":
+        if kappa not in (None, 2):
+            raise UnsupportedKappa(
+                f"builtin:quartic-ground is the quartic (kappa = 2) series, "
+                f"got --kappa {kappa}")
         series = rs_expand(2, 0, 11).coefficients  # 12 exact coefficients
-        kappa = 2 if kappa is None else kappa
+        kappa = 2
     else:
         series = _read_json(args.series, "series")
         if not isinstance(series, list):
@@ -384,7 +388,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage errors and --help, from parse_args
         return int(exc.code or 0)
     except EngineError as exc:
-        print(json.dumps(exc.to_json()), file=sys.stderr)
+        print(json.dumps(exc.to_json(), allow_nan=False), file=sys.stderr)
         return 2
     return 0
 

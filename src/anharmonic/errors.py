@@ -6,6 +6,18 @@ and an optional ``payload`` dict so front ends can serialize failures as JSON.
 
 from __future__ import annotations
 
+import math
+
+
+def _strict(value):
+    """The payload value with every non-finite float, also inside a list,
+    replaced by None, which JSON can hold."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
 
 class EngineError(Exception):
     """Base class for all engine failures."""
@@ -23,7 +35,7 @@ class EngineError(Exception):
     def to_json(self) -> dict:
         out = {"error": self.code, "message": self.message}
         if self.payload:
-            out["payload"] = self.payload
+            out["payload"] = {k: _strict(v) for k, v in self.payload.items()}
         return out
 
 

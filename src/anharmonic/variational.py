@@ -29,6 +29,15 @@ complement of the interior block in the discrete action Hessian.  Both
 come from one lean minimization (``_solve``: Newton and the resolution
 check, nothing else); only ``MomentumProvider.minimize`` derives the
 velocities, energy drift, HJ residual and node times of a full report.
+
+The minimizer to a point gamma(sigma) of the minimizer to x is that
+curve's own tail: by time-shift invariance it is s -> gamma(sigma s), and
+its Jacobi fields (the derivative in its endpoint) are the curve's fields
+J(sigma s) J(sigma)^-1.  A lean minimization to a point near the curve may
+therefore start Newton from that tail, moved to the point along those
+fields, instead of from the linearized x_i s^(p_i); the start depends only
+on the curve, sigma and the point, never on call history.
+
 Also here: sampled coercivity/convexity hypothesis checks, the gradient
 semi-flow integrator (DOP853 on lean momentum samples; it must retrace the
 minimizer curve), and the numerical first transport integral
@@ -126,6 +135,7 @@ class _Spectral(NamedTuple):
     the origin, so every matrix acting on curve values takes the values at
     nodes 1..N only."""
     nodes: np.ndarray  # (N+1,) Chebyshev-Lobatto nodes, ascending
+    bary: np.ndarray  # (N+1,) their barycentric weights
     diff: np.ndarray  # (N+1, N) d/ds at the nodes
     gauss: np.ndarray  # (2N,) Gauss-Legendre points
     weights: np.ndarray  # (2N,) their weights
@@ -133,6 +143,19 @@ class _Spectral(NamedTuple):
     slope: np.ndarray  # Q = P D (2N, N): d/ds at the Gauss points
     stiff: np.ndarray  # Q^T diag(w s) Q (N, N)
     cheb: np.ndarray  # (N+1, N+1): values at all nodes -> Chebyshev coefficients
+
+
+def _lagrange(nodes: np.ndarray, bary: np.ndarray, targets: np.ndarray):
+    """Rows (len(targets), N+1) taking the curve values at all N+1 nodes
+    to its values at ``targets``, by the barycentric formula; a target on
+    a node takes that node's value."""
+    gap = targets[:, None] - nodes[None, :]
+    hit = gap == 0.0
+    if hit.any():  # a row on a node keeps that node's weight alone
+        on = hit.any(axis=1)
+        gap[on] = np.where(hit[on], 1.0, np.inf)
+    rows = bary / gap
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 @functools.cache
@@ -154,12 +177,11 @@ def _spectral(nodes: int) -> _Spectral:
     diff[j, j] = -diff.sum(axis=1)
     x, w = np.polynomial.legendre.leggauss(2 * nodes)
     gauss, weights = 0.5 * (x + 1.0), 0.5 * w
-    interp = bary / (gauss[:, None] - s[None, :])
-    interp /= interp.sum(axis=1, keepdims=True)
+    interp = _lagrange(s, bary, gauss)
     slope = interp @ diff
     cheb = np.linalg.inv(np.polynomial.chebyshev.chebvander(2.0 * s - 1.0, nodes))
     spec = _Spectral(
-        nodes=s, diff=diff[:, 1:], gauss=gauss, weights=weights,
+        nodes=s, bary=bary, diff=diff[:, 1:], gauss=gauss, weights=weights,
         interp=interp[:, 1:], slope=slope[:, 1:],
         stiff=slope[:, 1:].T @ ((weights * gauss)[:, None] * slope[:, 1:]),
         cheb=cheb)
@@ -347,17 +369,27 @@ class _Minimum(NamedTuple):
     iterations: int
 
 
-def _solve(ev: _ModelEval, spec: _Spectral, x) -> _Minimum:
+def _solve(ev: _ModelEval, spec: _Spectral, x, start=None) -> _Minimum:
     """The minimizer to x on a built discretization, checked for resolution.
     Nothing else is derived here, so a gradient sample pays for the Newton
-    solve alone."""
+    solve alone.  Newton starts from ``start`` (N, dim), the curve values
+    at nodes 1..N with its last row replaced by x, or by default from the
+    linearized minimizer."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (ev.dim,):
         raise GradientProviderFailure(
             f"target point has shape {x.shape}, expected ({ev.dim},)")
     s = spec.nodes
-    # the linearized minimizer x_i exp(omega_i t)
-    free0 = x[None, :] * s[1:, None] ** ev.powers[None, :]
+    if start is None:
+        # the linearized minimizer x_i exp(omega_i t)
+        free0 = x[None, :] * s[1:, None] ** ev.powers[None, :]
+    else:
+        free0 = np.array(start, dtype=float)
+        if free0.shape != (s.size - 1, ev.dim):
+            raise GradientProviderFailure(
+                f"Newton start has shape {free0.shape}, expected "
+                f"({s.size - 1}, {ev.dim})")
+        free0[-1] = x  # the endpoint stays pinned
     free, action, grad, hess_v, iters = _newton(ev, spec, free0, _TOL)
     pts = np.vstack([np.zeros((1, ev.dim)), free])
     coeffs = np.abs(spec.cheb @ pts)
@@ -380,9 +412,11 @@ class MomentumProvider:
     ``minimize(x)`` returns the minimizer to x; ``momentum(x)`` is its
     endpoint gradient dI/dgamma(1) = grad S_0(x), and ``hessian(x)``
     differentiates that exactly in x.  Those two report every failure of
-    their minimization as GradientProviderFailure.  A degree below a linear
-    mode's exponent q omega_i / omega_min is rejected here, before any
-    Newton work (omega = (1, 1.4142) has q = 5000 and needs degree 7071).
+    their minimization as GradientProviderFailure, and take an optional
+    Newton ``start`` (see ``_solve``), such as ``_tail_start`` builds.  A
+    degree below a linear mode's exponent q omega_i / omega_min is rejected
+    here, before any Newton work (omega = (1, 1.4142) has q = 5000 and
+    needs degree 7071).
     """
 
     def __init__(self, model: OscillatorModel, nodes: int = NODES):
@@ -415,18 +449,57 @@ class MomentumProvider:
             ip_energy_drift=float(np.abs(energy).max()), hj_residual=hj,
             iterations=iters)
 
-    def _sample(self, x):
+    def _sample(self, x, start):
         """The lean minimization to x, as returned by ``_solve``."""
         try:
-            return _solve(self._ev, self._spec, x)
+            return _solve(self._ev, self._spec, x, start)
         except (NoConvergence, HypothesisViolation) as exc:
             raise GradientProviderFailure(
                 f"gradient sample failed at {np.ravel(x).tolist()}: {exc}") from exc
 
-    def momentum(self, x) -> np.ndarray:
-        return self._sample(x).grad[-1]
+    def _response(self, hess_v):
+        """The discrete action Hessian K at a minimizer (Hess V at the Gauss
+        points given) and the response -K_ii^-1 K_ix ((N-1) dim, dim) of
+        its interior values to its endpoint, which keeps the interior
+        gradient zero."""
+        from scipy.linalg import cho_factor, cho_solve
+        hess = _action_hessian(self._ev, self._spec, hess_v)
+        n = self._ev.dim
+        try:
+            inner = cho_factor(hess[:-n, :-n], check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise HypothesisViolation(
+                f"discrete Hessian is not positive definite at the "
+                f"minimizer: {exc}") from exc
+        return hess, -cho_solve(inner, hess[:-n, -n:], check_finite=False)
 
-    def hessian(self, x) -> np.ndarray:
+    def _fields(self, points) -> np.ndarray:
+        """The Jacobi fields d gamma(s) / dx (N+1, dim, dim) of the minimizer
+        ``points`` (N+1, dim): zero at s = 0, the identity at s = 1."""
+        n = self._ev.dim
+        hess_v = _action_and_gradient(self._ev, self._spec, points[1:])[2]
+        fields = np.zeros(points.shape + (n,))
+        fields[1:-1] = self._response(hess_v)[1].reshape(-1, n, n)
+        fields[-1] = np.eye(n)
+        return fields
+
+    def _tail_start(self, points, fields, sigma: float, y) -> np.ndarray:
+        """Newton start for the minimizer to y, a point near gamma(sigma) on
+        the minimizer ``points`` with Jacobi ``fields`` (``_fields``): the
+        tail s -> gamma(sigma s), which is the minimizer to gamma(sigma)
+        itself, moved to y along the tail's own fields J(sigma s) J(sigma)^-1
+        (time shift carries the fields too).  In the harmonic limit these
+        are the linear modes s^p."""
+        s = self._spec.nodes
+        rows = _lagrange(s, self._spec.bary, sigma * s[1:])
+        tail = rows @ points
+        moved = (rows @ fields.reshape(s.size, -1)).reshape(-1, *fields.shape[1:])
+        return tail + moved @ np.linalg.solve(moved[-1], y - tail[-1])
+
+    def momentum(self, x, start=None) -> np.ndarray:
+        return self._sample(x, start).grad[-1]
+
+    def hessian(self, x, start=None) -> np.ndarray:
         """Hess S_0(x) as the x-derivative of the discrete momentum.
 
         At the minimizer the interior gradient vanishes, so the interior
@@ -434,12 +507,9 @@ class MomentumProvider:
         (the endpoint gradient) moves as the Schur complement
         K_xx - K_xi K_ii^-1 K_ix of the discrete action Hessian K.
         """
-        from scipy.linalg import cho_factor, cho_solve
-        hess = _action_hessian(self._ev, self._spec, self._sample(x).hess_v)
+        hess, response = self._response(self._sample(x, start).hess_v)
         n = self._ev.dim
-        inner = cho_factor(hess[:-n, :-n], check_finite=False)
-        out = hess[-n:, -n:] - hess[-n:, :-n] @ cho_solve(
-            inner, hess[:-n, -n:], check_finite=False)
+        out = hess[-n:, -n:] + hess[-n:, :-n] @ response
         return 0.5 * (out + out.T)
 
 
@@ -477,7 +547,11 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
     Backward integration (the default) relaxes to the origin, ending where
     |gamma| = _ARRIVAL_RADIUS, above its stall at the tolerance, and must
     retrace the minimizer to x: ``deviation_from_minimizer`` is the largest
-    gap at its nodes inside the integrated span.  Forward integration
+    gap at its nodes inside the integrated span.  So at flow time t <= 0 the
+    state y sits near gamma(sigma), sigma = exp(c t), whose minimizer is the
+    curve's own tail s -> gamma(sigma s): each sample's Newton starts from
+    that tail, moved to y along its Jacobi fields
+    (``MomentumProvider._tail_start``).  Forward integration
     generically escapes to infinity in finite time, reported in
     ``escape_time`` once |gamma| reaches _ESCAPE_RADIUS.  The graph
     p = grad S_0 is invariant under, and forward attracts, the
@@ -505,9 +579,13 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
         start, span = np.concatenate([x, provider.momentum(x)]), (0.0, horizon)
     else:
         curve = provider.minimize(x).curve
+        fields = provider._fields(curve.points)
+        rate = provider._ev.rate
 
-        def rhs(_t, y):
-            return provider.momentum(y) / mass
+        def rhs(t, y):
+            sigma = min(1.0, math.exp(rate * t))  # t > 0 only if t_span < 0
+            start = provider._tail_start(curve.points, fields, sigma, y)
+            return provider.momentum(y, start=start) / mass
         start, span = x, (0.0, -horizon if np.linalg.norm(x) > radius else 0.0)
     sol = solve_ivp(rhs, span, start, method="DOP853", rtol=_FLOW_RTOL,
                     atol=_FLOW_ATOL, dense_output=True, events=reached)
@@ -531,15 +609,6 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
                           escape_time=escape_time)
 
 
-def decay_bound_satisfied(traj: FlowTrajectory, omega_min: float,
-                          epsilon: float) -> bool:
-    """Check |gamma(t)| <= |gamma(0)| exp((omega_min - epsilon) t) for t <= 0."""
-    radius = np.linalg.norm(traj.points, axis=1)
-    r0 = radius[-1]  # t = 0 is the last entry
-    bound = r0 * np.exp((omega_min - epsilon) * traj.times)
-    return bool(np.all(radius <= bound * (1.0 + 1e-9) + 1e-12))
-
-
 # -- numerical first transport integral ----------------------------------------
 
 def numeric_s1(model: OscillatorModel, x) -> float:
@@ -548,18 +617,22 @@ def numeric_s1(model: OscillatorModel, x) -> float:
     In s = exp(c t) the integral is int_0^1 f(gamma(s)) ds / (c s) with
     f = tr Hess S_0 / (2m) - sum omega_j / 2, which vanishes at the origin.
     It is taken at the 2N Gauss-Legendre points of the curve, one Hessian
-    (one minimization) per point.
+    (one minimization) per point.  The point gamma(s) of the curve has the
+    curve's tail s' -> gamma(s s') for its minimizer, so each of those
+    minimizations starts from that tail (``MomentumProvider._tail_start``).
     """
     mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
     provider = MomentumProvider(model)
-    curve = provider.minimize(x).curve
+    points = provider.minimize(x).curve.points
     spec, rate = provider._spec, provider._ev.rate
+    fields = provider._fields(points)
     half_omega = 0.5 * float(sum(model.omega))
     total = 0.0
-    for s, w, pt in zip(spec.gauss, spec.weights, spec.interp @ curve.points[1:]):
-        f = np.trace(provider.hessian(pt)) / (2.0 * mass) - half_omega
+    for s, w, pt in zip(spec.gauss, spec.weights, spec.interp @ points[1:]):
+        start = provider._tail_start(points, fields, s, pt)
+        f = np.trace(provider.hessian(pt, start=start)) / (2.0 * mass) - half_omega
         total += w * f / (rate * s)
     return float(total)

@@ -42,11 +42,11 @@ from anharmonic.transport import (
 )
 from anharmonic.variational import (
     _ModelEval,
-    decay_bound_satisfied,
     minimize_action,
     numeric_s1,
     semi_flow,
 )
+from flowcheck import decay_bound_satisfied
 from strategies import random_models
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from anharmonic import variational
 from anharmonic.cli import main
+from flowcheck import decay_bound_satisfied
 
 
 def run_cli(capsys, *argv):
@@ -195,7 +196,7 @@ class TestNumerics:
         data = json.loads(out)
         traj = variational.FlowTrajectory(times=np.array(data["times"]),
                                           points=np.array(data["points"]))
-        assert variational.decay_bound_satisfied(traj, 1.0, 0.1)
+        assert decay_bound_satisfied(traj, 1.0, 0.1)
         assert data["times"][0] > -30.0
 
     def test_flow_forward_escapes(self, capsys):
@@ -550,6 +551,40 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err.strip())["error"] == error
 
+    @pytest.mark.parametrize("kappa", ["1", "3", "4"])
+    def test_resum_builtin_is_the_quartic(self, capsys, monkeypatch, kappa):
+        """The builtin series is the quartic's, so a reference at any other
+        kappa would judge it against another model; rejected before any
+        Pade solve."""
+        from anharmonic import resummation
+
+        def unreachable(*_args):
+            raise AssertionError("pade_coefficients called")
+
+        monkeypatch.setattr(resummation, "pade_coefficients", unreachable)
+        code, out, err = run_cli(capsys, "resum", "--series",
+                                 "builtin:quartic-ground", "--mu", "0.2",
+                                 "--kappa", kappa, "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip())["error"] == "UnsupportedKappa"
+
+    def test_non_finite_error_payload_is_strict_json(self, capsys, tmp_path):
+        """An overflowing Laplace integrand makes the error estimate NaN;
+        the payload holds null instead, so a strict parser reads it."""
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(["1", "2", "3", "4", "5"]))
+        code, out, err = run_cli(capsys, "resum", "--series", str(path),
+                                 "--mu", "1e300", "--pade", "2,2")
+        assert code == 2 and out == ""
+
+        def reject_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(err, parse_constant=reject_constant)
+        assert payload["error"] == "NotConverged"
+        assert payload["payload"]["error_estimate"] is None
+
     @pytest.mark.parametrize("argv, error", [
         (("--kappa", "-1"), "UnsupportedKappa"),
         (("--kappa", "0"), "UnsupportedKappa"),
@@ -664,3 +699,13 @@ def test_every_error_code_is_its_class_name():
     for cls in [EngineError, *classes]:
         assert cls.code == cls.__name__
         assert cls("message").to_json()["error"] == cls.__name__
+
+
+def test_error_payload_maps_non_finite_floats_to_null():
+    from anharmonic.errors import NotConverged
+
+    exc = NotConverged("message", delta=float("nan"), poles=[float("inf"), 0.5],
+                       basis_size=200)
+    assert exc.to_json()["payload"] == {"delta": None, "poles": [None, 0.5],
+                                        "basis_size": 200}
+    assert math.isnan(exc.payload["delta"])  # the exception keeps its values

@@ -31,11 +31,11 @@ from anharmonic.variational import (
     _newton,
     _spectral,
     check_hypotheses,
-    decay_bound_satisfied,
     minimize_action,
     numeric_s1,
     semi_flow,
 )
+from flowcheck import decay_bound_satisfied
 from strategies import points, random_models
 
 
@@ -405,6 +405,17 @@ class TestHessian:
             assert np.array_equal(provider.momentum(x),
                                   provider.minimize(x).momentum)
 
+    def test_indefinite_hessian_at_the_minimizer(self, monkeypatch):
+        """Started at its own minimizer, Newton factors nothing; the
+        Schur complement's factorization reports the failure."""
+        provider = MomentumProvider(quartic())
+        start = provider.minimize([0.5]).curve.points[1:]
+        real = variational._action_hessian
+        monkeypatch.setattr(variational, "_action_hessian",
+                            lambda *args: -real(*args))
+        with pytest.raises(HypothesisViolation):
+            provider.hessian([0.5], start=start)
+
     def test_failure_is_provider_failure(self):
         provider = MomentumProvider(kappa_model(2, g=Fraction(-1, 4)))
         with pytest.raises(GradientProviderFailure):
@@ -459,10 +470,10 @@ class TestSemiFlow:
             (inside if depth[0] else outside).append(args[2])
             return real_solve(*args)
 
-        def momentum(self, x):
+        def momentum(self, x, start=None):
             depth[0] += 1
             try:
-                return real_momentum(self, x)
+                return real_momentum(self, x, start)
             finally:
                 depth[0] -= 1
 
@@ -533,6 +544,94 @@ class TestNumericS1:
         monkeypatch.setattr(_ModelEval, "__init__", counted)
         numeric_s1(quartic(), [0.9])
         assert len(built) == 1
+
+
+def _newton_work(monkeypatch):
+    """Record the Newton iterations of every lean minimization given a
+    start (the samples), and count those without one."""
+    samples, cold = [], []
+    real = variational._solve
+
+    def solve(ev, spec, x, start=None):
+        minimum = real(ev, spec, x, start)
+        (cold if start is None else samples).append(minimum.iterations)
+        return minimum
+    monkeypatch.setattr(variational, "_solve", solve)
+    return samples, cold
+
+
+class TestCurveStart:
+    """Samples start Newton from the time-shifted tail of the curve."""
+
+    def test_flow_samples_match_cold_starts(self, monkeypatch):
+        """Within 1e-9 relative in the sense of Newton's stopping test,
+        which is absolute below unit action: near the origin both starts
+        stop about 1e-10 from the exact minimizer."""
+        seen = []
+        real = MomentumProvider.momentum
+
+        def momentum(self, x, start=None):
+            out = real(self, x, start)
+            seen.append((self, np.array(x), start, out))
+            return out
+        monkeypatch.setattr(MomentumProvider, "momentum", momentum)
+        semi_flow(quartic(), [1.0], t_span=8.0)
+        semi_flow(convex_2d(), [0.7, 0.8])
+        monkeypatch.undo()
+        assert len(seen) > 300 and all(s is not None for _, _, s, _ in seen)
+        for provider, y, _, warm in seen:
+            cold = provider.momentum(y)
+            assert np.abs(warm - cold).max() <= 1e-9 * (1.0 + np.abs(cold).max())
+
+    def test_start_at_sigma_one_is_the_curve(self):
+        provider = MomentumProvider(convex_2d())
+        points = provider.minimize([0.6, -0.4]).curve.points
+        start = provider._tail_start(points, provider._fields(points), 1.0,
+                                     points[-1])
+        assert np.array_equal(start, points[1:])
+
+    def test_fields_are_the_endpoint_derivative_of_the_curve(self):
+        """J(s) = d gamma(s) / dx, against central differences of whole
+        minimizations."""
+        provider = MomentumProvider(convex_2d())
+        x, h = np.array([0.6, -0.4]), 1e-5
+        fields = provider._fields(provider.minimize(x).curve.points)
+        for b in range(2):
+            step = h * np.eye(2)[b]
+            diff = (provider.minimize(x + step).curve.points
+                    - provider.minimize(x - step).curve.points) / (2 * h)
+            assert fields[:, :, b] == pytest.approx(diff, abs=1e-7)
+
+    def test_endpoint_of_a_start_is_pinned_to_x(self):
+        """A start that ends elsewhere (the curve to another point) still
+        minimizes to x."""
+        provider = MomentumProvider(convex_2d())
+        other = provider.minimize([0.2, 0.5]).curve.points
+        x = np.array([0.6, -0.4])
+        minimum = variational._solve(provider._ev, provider._spec, x, other[1:])
+        assert np.array_equal(minimum.points[-1], x)
+        assert minimum.grad[-1] == pytest.approx(provider.momentum(x), rel=1e-9)
+        assert np.array_equal(other[-1], [0.2, 0.5])  # the start is not written
+
+    @pytest.mark.parametrize("shape", [(NODES, 2), (NODES - 1, 1), (NODES + 1, 1)])
+    def test_start_of_the_wrong_shape(self, shape):
+        provider = MomentumProvider(quartic())
+        with pytest.raises(GradientProviderFailure):
+            provider.momentum([0.5], start=np.zeros(shape))
+        with pytest.raises(GradientProviderFailure):
+            provider.hessian([0.5], start=np.zeros(shape))
+
+    def test_flow_newton_budget(self, monkeypatch):
+        samples, cold = _newton_work(monkeypatch)
+        semi_flow(quartic(), [1.0], t_span=8.0)
+        assert len(cold) == 1 and len(samples) > 200
+        assert sum(samples) <= 0.5 * len(samples)
+
+    def test_numeric_s1_newton_budget(self, monkeypatch):
+        samples, cold = _newton_work(monkeypatch)
+        numeric_s1(quartic(), [0.9])
+        assert len(cold) == 1 and len(samples) == 2 * NODES
+        assert sum(samples) <= 0.5 * len(samples)
 
 
 class TestSpectral:
