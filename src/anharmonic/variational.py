@@ -39,8 +39,10 @@ fields, instead of from the linearized x_i s^(p_i); the start depends only
 on the curve, sigma and the point, never on call history.
 
 Also here: sampled coercivity/convexity hypothesis checks, the gradient
-semi-flow integrator (DOP853 on lean momentum samples; it must retrace the
-minimizer curve), and the numerical first transport integral
+semi-flow integrator (the package's own DOP853 stepper on lean momentum
+samples, with no dense output; it must retrace the minimizer curve, which
+is checked at its accepted steps against the degree-N curve itself), and
+the numerical first transport integral
 
     S_1(x) = int_{-inf}^{0} [ (lap S_0)/(2m) - sum_j omega_j / 2 ](gamma(t)) dt,
 
@@ -535,19 +537,211 @@ _FLOW_RTOL, _FLOW_ATOL = 1e-8, 1e-10
 _ESCAPE_RADIUS = 1e3  # a forward flow has escaped once |gamma| reaches it
 _ARRIVAL_RADIUS = 1e2 * _FLOW_ATOL  # a backward one has reached the origin
 
+# The explicit Runge-Kutta pair DOP853 of Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I (2nd ed., 1993), Sec. II.5: the nodes
+# C and stage rows A of its 12 stages (row 12 holds the eighth-order
+# weights B) and its 5th- and 3rd-order error weights E5 and E3.  Its
+# dense-output stages are left out.
+_DOP_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0])
+
+_DOP_A = np.zeros((13, 12))  # row 12: the weights B
+_DOP_A[1, 0] = 5.26001519587677318785587544488e-2
+
+_DOP_A[2, 0] = 1.97250569845378994544595329183e-2
+_DOP_A[2, 1] = 5.91751709536136983633785987549e-2
+
+_DOP_A[3, 0] = 2.95875854768068491816892993775e-2
+_DOP_A[3, 2] = 8.87627564304205475450678981324e-2
+
+_DOP_A[4, 0] = 2.41365134159266685502369798665e-1
+_DOP_A[4, 2] = -8.84549479328286085344864962717e-1
+_DOP_A[4, 3] = 9.24834003261792003115737966543e-1
+
+_DOP_A[5, 0] = 3.7037037037037037037037037037e-2
+_DOP_A[5, 3] = 1.70828608729473871279604482173e-1
+_DOP_A[5, 4] = 1.25467687566822425016691814123e-1
+
+_DOP_A[6, 0] = 3.7109375e-2
+_DOP_A[6, 3] = 1.70252211019544039314978060272e-1
+_DOP_A[6, 4] = 6.02165389804559606850219397283e-2
+_DOP_A[6, 5] = -1.7578125e-2
+
+_DOP_A[7, 0] = 3.70920001185047927108779319836e-2
+_DOP_A[7, 3] = 1.70383925712239993810214054705e-1
+_DOP_A[7, 4] = 1.07262030446373284651809199168e-1
+_DOP_A[7, 5] = -1.53194377486244017527936158236e-2
+_DOP_A[7, 6] = 8.27378916381402288758473766002e-3
+
+_DOP_A[8, 0] = 6.24110958716075717114429577812e-1
+_DOP_A[8, 3] = -3.36089262944694129406857109825
+_DOP_A[8, 4] = -8.68219346841726006818189891453e-1
+_DOP_A[8, 5] = 2.75920996994467083049415600797e1
+_DOP_A[8, 6] = 2.01540675504778934086186788979e1
+_DOP_A[8, 7] = -4.34898841810699588477366255144e1
+
+_DOP_A[9, 0] = 4.77662536438264365890433908527e-1
+_DOP_A[9, 3] = -2.48811461997166764192642586468
+_DOP_A[9, 4] = -5.90290826836842996371446475743e-1
+_DOP_A[9, 5] = 2.12300514481811942347288949897e1
+_DOP_A[9, 6] = 1.52792336328824235832596922938e1
+_DOP_A[9, 7] = -3.32882109689848629194453265587e1
+_DOP_A[9, 8] = -2.03312017085086261358222928593e-2
+
+_DOP_A[10, 0] = -9.3714243008598732571704021658e-1
+_DOP_A[10, 3] = 5.18637242884406370830023853209
+_DOP_A[10, 4] = 1.09143734899672957818500254654
+_DOP_A[10, 5] = -8.14978701074692612513997267357
+_DOP_A[10, 6] = -1.85200656599969598641566180701e1
+_DOP_A[10, 7] = 2.27394870993505042818970056734e1
+_DOP_A[10, 8] = 2.49360555267965238987089396762
+_DOP_A[10, 9] = -3.0467644718982195003823669022
+
+_DOP_A[11, 0] = 2.27331014751653820792359768449
+_DOP_A[11, 3] = -1.05344954667372501984066689879e1
+_DOP_A[11, 4] = -2.00087205822486249909675718444
+_DOP_A[11, 5] = -1.79589318631187989172765950534e1
+_DOP_A[11, 6] = 2.79488845294199600508499808837e1
+_DOP_A[11, 7] = -2.85899827713502369474065508674
+_DOP_A[11, 8] = -8.87285693353062954433549289258
+_DOP_A[11, 9] = 1.23605671757943030647266201528e1
+_DOP_A[11, 10] = 6.43392746015763530355970484046e-1
+
+_DOP_A[12, 0] = 5.42937341165687622380535766363e-2
+_DOP_A[12, 5] = 4.45031289275240888144113950566
+_DOP_A[12, 6] = 1.89151789931450038304281599044
+_DOP_A[12, 7] = -5.8012039600105847814672114227
+_DOP_A[12, 8] = 3.1116436695781989440891606237e-1
+_DOP_A[12, 9] = -1.52160949662516078556178806805e-1
+_DOP_A[12, 10] = 2.01365400804030348374776537501e-1
+_DOP_A[12, 11] = 4.47106157277725905176885569043e-2
+
+_DOP_B = _DOP_A[12]
+_DOP_E3 = _DOP_B.copy()
+_DOP_E3[0] -= 0.244094488188976377952755905512
+_DOP_E3[8] -= 0.733846688281611857341361741547
+_DOP_E3[11] -= 0.220588235294117647058823529412e-1
+
+_DOP_E5 = np.zeros(12)
+_DOP_E5[0] = 0.1312004499419488073250102996e-1
+_DOP_E5[5] = -0.1225156446376204440720569753e+1
+_DOP_E5[6] = -0.4957589496572501915214079952
+_DOP_E5[7] = 0.1664377182454986536961530415e+1
+_DOP_E5[8] = -0.3503288487499736816886487290
+_DOP_E5[9] = 0.3341791187130174790297318841
+_DOP_E5[10] = 0.8192320648511571246570742613e-1
+_DOP_E5[11] = -0.2235530786388629525884427845e-1
+
+
+def _rms(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v)) / math.sqrt(v.size)
+
+
+def _dop853(rhs, y, t_end: float, gap):
+    """DOP853 steps of y' = rhs(t, y) from y at t = 0 to t = t_end (either
+    sign), at _FLOW_RTOL and _FLOW_ATOL, with scipy's initial step and
+    step-size control: safety 0.9, factor in [0.2, 10], exponent -1/8 on
+    the combined 5th/3rd-order error norm.
+
+    Returns the accepted times and states (the start first) and the time
+    at which ``gap(state)`` first rises through 0, or None; the
+    integration ends there, the crossing located by bisection on the last
+    step's cubic Hermite interpolant, whose end slopes the stages already
+    hold.  A step size below the spacing of the floats raises
+    GradientProviderFailure.
+    """
+    direction = math.copysign(1.0, t_end)
+    t, f = 0.0, rhs(0.0, y)
+    times, states, below = [t], [y], gap(y)
+    # the initial step of Sec. II.4: one probe evaluation
+    span = abs(t_end)
+    scale = _FLOW_ATOL + np.abs(y) * _FLOW_RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((rhs(direction * h0, y + direction * h0 * f) - f) / scale) / h0
+    h1 = (max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.125)
+    h_abs = min(100.0 * h0, h1, span)
+    stages = np.empty((12, y.size))
+    while t != t_end:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # a NaN step too
+                raise GradientProviderFailure(
+                    f"flow integration failed at t = {t}: the step size fell "
+                    f"below the spacing of the floats")
+            t_new = t + direction * h_abs
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            stages[0] = f
+            for i in range(1, 12):
+                stages[i] = rhs(t + _DOP_C[i] * h,
+                                y + h * (_DOP_A[i, :i] @ stages[:i]))
+            y_new = y + h * (_DOP_B @ stages)
+            f_new = rhs(t_new, y_new)
+            scale = _FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _FLOW_RTOL
+            err5 = float(np.sum(((_DOP_E5 @ stages) / scale) ** 2))
+            err3 = float(np.sum(((_DOP_E3 @ stages) / scale) ** 2))
+            norm = (0.0 if err5 == 0.0 and err3 == 0.0 else
+                    h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * y.size))
+            if norm < 1.0:
+                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * norm ** -0.125)  # 0.2 for a NaN norm
+            rejected = True
+        above = gap(y_new)
+        if below <= 0.0 <= above:
+            def hermite(th):
+                return ((1.0 - th) ** 2 * ((1.0 + 2.0 * th) * y + th * h * f)
+                        + th ** 2 * ((3.0 - 2.0 * th) * y_new - (1.0 - th) * h * f_new))
+            lo, mid, hi = 0.0, 0.5, 1.0  # gap < 0 at lo (or lo = 0), >= 0 at hi
+            while lo < mid < hi:
+                if gap(hermite(mid)) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                mid = 0.5 * (lo + hi)
+            times.append(t + hi * h)
+            states.append(hermite(hi))
+            return times, states, times[-1]
+        t, y, f, below = t_new, y_new, f_new, above
+        times.append(t)
+        states.append(y)
+    return times, states, None
+
 
 def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
               t_span: float | None = None, forward: bool = False) -> FlowTrajectory:
-    """Integrate m gamma' = grad S_0(gamma) from gamma(0) = x with DOP853,
-    sampling grad S_0 on one degree-``nodes`` discretization.  Each
-    right-hand side is one lean minimization (``MomentumProvider.momentum``),
-    and the eighth-order steps need far fewer of them than RK45 at this
-    tolerance; ``times`` and ``points`` hold the accepted steps.
+    """Integrate m gamma' = grad S_0(gamma) from gamma(0) = x for a time
+    ``t_span`` (a finite number > 0; default 10 / omega_min) with the
+    package's own DOP853 (``_dop853``), sampling grad S_0 on one
+    degree-``nodes`` discretization.  Each right-hand side is one lean
+    minimization (``MomentumProvider.momentum``), and the eighth-order
+    steps need far fewer of them than RK45 at this tolerance: 12 a step, as
+    no dense output is formed.  ``times`` and ``points`` hold the accepted
+    steps.
 
     Backward integration (the default) relaxes to the origin, ending where
-    |gamma| = _ARRIVAL_RADIUS, above its stall at the tolerance, and must
-    retrace the minimizer to x: ``deviation_from_minimizer`` is the largest
-    gap at its nodes inside the integrated span.  So at flow time t <= 0 the
+    |gamma| = _ARRIVAL_RADIUS, above its stall at the tolerance (a start
+    already inside has arrived: two points, both x), and must retrace the
+    minimizer to x: ``deviation_from_minimizer`` is the largest gap
+    |y_k - gamma(exp(c t_k))| over the reported points, gamma the degree-N
+    curve itself, evaluated by ``_lagrange``.  So at flow time t <= 0 the
     state y sits near gamma(sigma), sigma = exp(c t), whose minimizer is the
     curve's own tail s -> gamma(sigma s): each sample's Newton starts from
     that tail, moved to y along its Jacobi fields
@@ -559,54 +753,42 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
     is integrated from p(0) = grad S_0(x): one sample, where the far points
     would need a degree growing with |gamma|.
     """
-    from scipy.integrate import solve_ivp
+    horizon = 10.0 / float(model.omega_min) if t_span is None else float(t_span)
+    if not 0.0 < horizon < math.inf:  # false for NaN as well
+        raise ModelFormatError(
+            f"t_span must be a finite number > 0, got {t_span}")
     provider = MomentumProvider(model, nodes)
     mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
-    horizon = t_span if t_span is not None else 10.0 / float(model.omega_min)
-    radius = _ESCAPE_RADIUS if forward else _ARRIVAL_RADIUS
-
-    def reached(_t, y):
-        return float(np.linalg.norm(y[:n])) - radius
-    reached.terminal = True
-    reached.direction = 1.0 if forward else -1.0
     if forward:
         jet = provider._ev.jet
 
         def rhs(_t, y):
             return np.concatenate([y[n:] / mass, jet(y[None, :n])[1][0]])
-        start, span = np.concatenate([x, provider.momentum(x)]), (0.0, horizon)
-    else:
-        curve = provider.minimize(x).curve
-        fields = provider._fields(curve.points)
-        rate = provider._ev.rate
+        times, states, escape_time = _dop853(
+            rhs, np.concatenate([x, provider.momentum(x)]), horizon,
+            lambda y: float(np.linalg.norm(y[:n])) - _ESCAPE_RADIUS)
+        return FlowTrajectory(times=np.array(times),
+                              points=np.array(states)[:, :n],
+                              escape_time=escape_time)
+    curve = provider.minimize(x).curve  # first: it rejects an overflowing x
+    if float(np.linalg.norm(x)) <= _ARRIVAL_RADIUS:
+        return FlowTrajectory(times=np.zeros(2), points=np.stack([x, x]),
+                              deviation_from_minimizer=0.0)
+    fields = provider._fields(curve.points)
+    spec, rate = provider._spec, provider._ev.rate
 
-        def rhs(t, y):
-            sigma = min(1.0, math.exp(rate * t))  # t > 0 only if t_span < 0
-            start = provider._tail_start(curve.points, fields, sigma, y)
-            return provider.momentum(y, start=start) / mass
-        start, span = x, (0.0, -horizon if np.linalg.norm(x) > radius else 0.0)
-    sol = solve_ivp(rhs, span, start, method="DOP853", rtol=_FLOW_RTOL,
-                    atol=_FLOW_ATOL, dense_output=True, events=reached)
-    escape_time = deviation = None
-    if forward and len(sol.t_events[0]):
-        escape_time = float(sol.t_events[0][0])
-    elif not sol.success:
-        raise GradientProviderFailure(
-            f"flow integration failed: {sol.message}")
-    order = np.argsort(sol.t)
-    times = sol.t[order]
-    points = sol.y[:n].T[order]
-    if not forward:
-        # the curve's nodes inside the integrated span (never the origin,
-        # which sits at t = -inf), against the flow's dense output there
-        inside = (curve.times >= times[0]) & (curve.times <= times[-1])
-        gap = sol.sol(curve.times[inside])[:n].T - curve.points[inside]
-        deviation = float(np.abs(gap).max(initial=0.0))
+    def rhs(t, y):
+        start = provider._tail_start(curve.points, fields, math.exp(rate * t), y)
+        return provider.momentum(y, start=start) / mass
+    times, states, _ = _dop853(
+        rhs, x, -horizon,
+        lambda y: _ARRIVAL_RADIUS - float(np.linalg.norm(y)))
+    times, points = np.array(times[::-1]), np.array(states[::-1])
+    gap = points - _lagrange(spec.nodes, spec.bary, np.exp(rate * times)) @ curve.points
     return FlowTrajectory(times=times, points=points,
-                          deviation_from_minimizer=deviation,
-                          escape_time=escape_time)
+                          deviation_from_minimizer=float(np.abs(gap).max()))
 
 
 # -- numerical first transport integral ----------------------------------------

@@ -1,8 +1,9 @@
 """Every module-level import in the package is used, every module-level
 private helper is referenced (no linter is installed, so this is the guard),
-and no module imports scipy at module level, so the exact subcommands never
-load it.  The guards read ``tree.body`` only: an import inside a function
-(where the float code imports scipy) is out of their view."""
+no module imports scipy at module level, so the exact subcommands never
+load it, and no function imports ``scipy.integrate``.  The module-level
+guards read ``tree.body`` only: an import inside a function (where the
+float code imports ``scipy.linalg``) is out of their view."""
 
 import ast
 import os
@@ -99,8 +100,12 @@ _FRESH_CLI = textwrap.dedent("""
                  "--output", f"{out}/resum.json"]) == 0
     assert "scipy.linalg" in sys.modules
     assert "scipy.integrate" not in sys.modules, scipy_loaded()
-    assert main(["variational", "--model", "builtin:quartic", "--point", "0.7",
-                 "--output", f"{out}/variational.json"]) == 0
+    for i, argv in enumerate((
+            ["variational", "--model", "builtin:quartic", "--point", "0.7"],
+            ["flow", "--model", "builtin:quartic", "--point", "0.8"],
+            ["flow", "--model", "builtin:quartic", "--point", "0.8",
+             "--forward"])):
+        assert main([*argv, "--output", f"{out}/float{i}.json"]) == 0, argv
     assert "scipy.integrate" not in sys.modules, scipy_loaded()
 """)
 
@@ -109,8 +114,9 @@ def test_exact_subcommands_never_load_scipy(tmp_path):
     """A fresh interpreter (this one holds scipy already) runs the six exact
     subcommands, a ``resum`` without a reference and a sextic
     ``scan --engine closed`` (its S_0 by numpy quadrature) without loading
-    scipy; a ``resum`` with a reference and ``variational`` then load
-    ``scipy.linalg`` but not ``scipy.integrate``."""
+    scipy; a ``resum`` with a reference, ``variational`` and a backward and
+    a forward ``flow`` then load ``scipy.linalg`` but not
+    ``scipy.integrate``."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, str(tmp_path)],
@@ -156,10 +162,9 @@ def test_guard_sees_scipy_integrate_importers():
     assert scipy_integrate_importers({"m": source}) == ["m.C.h", "m.f", "m.g"]
 
 
-def test_only_semi_flow_imports_scipy_integrate():
+def test_no_function_imports_scipy_integrate():
     assert scipy_integrate_importers(
-        {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) \
-        == ["variational.semi_flow"]
+        {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from anharmonic import variational
-from anharmonic.closedform import Kappa1DModel, s0_closed, s1_closed
+from anharmonic.closedform import Kappa1DModel, _quadrature, s0_closed, s1_closed
 from anharmonic.hjformal import solve_hj_formal
 from anharmonic.errors import (
     GradientProviderFailure,
@@ -443,6 +443,25 @@ class TestSemiFlow:
         assert traj.escape_time == pytest.approx(exact, abs=1e-7)
         assert traj.points[-1, 0] == pytest.approx(1e3, rel=1e-9)
 
+    def test_forward_flow_escapes_on_the_sextic(self):
+        """On the graph p = (2 m V)^(1/2) the forward flow x' = p/m takes
+        int_{x0}^{R} dx / (2 V(x) / m)^(1/2) to reach R = 1e3; the integral
+        is taken in u = log x."""
+        traj = semi_flow(kappa_model(3), [0.5], t_span=5.0, forward=True)
+        exact = _quadrature(
+            lambda u: np.exp(u) / np.sqrt(np.exp(2 * u) + 2 * np.exp(6 * u)),
+            math.log(0.5), math.log(1e3), epsabs=1e-14, epsrel=1e-13, limit=400)
+        assert traj.escape_time == pytest.approx(exact, abs=1e-8)
+        assert traj.points[-1, 0] == pytest.approx(1e3, rel=1e-9)
+
+    @pytest.mark.parametrize("t_span", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("forward", [False, True])
+    def test_span_must_be_positive_and_finite(self, t_span, forward):
+        """A negative span used to run the backward field forward and
+        report deviation 0.0."""
+        with pytest.raises(ModelFormatError):
+            semi_flow(kappa_model(2), [0.5], t_span=t_span, forward=forward)
+
     def test_backward_flow_stops_at_the_origin(self):
         """Left to run, the flow stalls near 1e-11 at the tolerance
         _FLOW_ATOL, where the decay bound fails from t = -30 on; it ends at
@@ -462,7 +481,8 @@ class TestSemiFlow:
     def test_backward_flow_samples_through_momentum(self, monkeypatch):
         """Every minimization but the curve's is a momentum sample, so
         wrapping MomentumProvider.momentum sees all of the flow's work;
-        DOP853 steps need few of them."""
+        DOP853 steps need few of them: 12 a step (no dense-output stages)
+        and two for the start and the initial-step probe."""
         depth, inside, outside = [0], [], []
         real_solve, real_momentum = variational._solve, MomentumProvider.momentum
 
@@ -481,7 +501,7 @@ class TestSemiFlow:
         monkeypatch.setattr(MomentumProvider, "momentum", momentum)
         traj = semi_flow(quartic(), [1.0], t_span=8.0)
         assert len(outside) == 1
-        assert len(inside) <= 320
+        assert len(inside) <= 230
         assert traj.deviation_from_minimizer < 1e-8
 
     @pytest.mark.parametrize("seed", range(6))
@@ -502,6 +522,17 @@ class TestSemiFlow:
         slow = FlowTrajectory(times=ts,
                               points=np.exp(0.5 * ts)[:, None])
         assert not decay_bound_satisfied(slow, 1.0, 0.1)
+
+
+class TestStepper:
+    @pytest.mark.parametrize("rhs", [lambda _t, y: y * y,
+                                     lambda _t, y: np.full_like(y, np.nan)],
+                             ids=["blow-up", "nan"])
+    def test_failed_integration(self, rhs):
+        """y' = y^2 from 1 blows up at t = 1, inside the span: the steps
+        shrink to the spacing of the floats; a NaN field takes no step."""
+        with pytest.raises(GradientProviderFailure, match="integration failed"):
+            variational._dop853(rhs, np.array([1.0]), 2.0, lambda _y: -1.0)
 
 
 class TestNumericS1:
