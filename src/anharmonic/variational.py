@@ -17,11 +17,12 @@ N + 1 Chebyshev-Lobatto nodes of [0, 1], pinned to 0 at s = 0 and to x at
 s = 1, and the integral is taken at 2N Gauss-Legendre points (quadrature
 at the collocation nodes would alias, and the discrete minimum would fall
 below S_0).  The discrete problem is smooth and (for convex V) strictly
-convex, so a damped Newton iteration with one dense Cholesky solve per
-step converges to machine precision deterministically.  V, grad V and
-Hess V come together from one jet: the monomials of the exact series of V
-and of its first and second derivatives are evaluated once per point set
-(powers by repeated multiplication) and combined by one matrix product.
+convex, so a damped Newton iteration with one dense solve per step, its
+matrix certified positive definite by a Cholesky factorization, converges
+to machine precision deterministically.  V, grad V and Hess V come
+together from one jet: the monomials of the exact series of V and of its
+first and second derivatives are evaluated once per point set (powers by
+repeated multiplication) and combined by one matrix product.
 
 The momentum grad S_0(x) is the endpoint entry of the discrete action
 gradient, dI/dgamma(1), and its x-derivative Hess S_0(x) is the Schur
@@ -66,6 +67,7 @@ from .errors import (
     NoConvergence,
 )
 from .model import OscillatorModel
+from .series import unpack
 
 
 NODES = 24  # default polynomial degree N of the curve
@@ -101,14 +103,19 @@ class _ModelEval:
         grad = V.gradient()
         parts = [V, *grad,
                  *(g.partial_derivative(j) for g in grad for j in range(n))]
-        terms = [dict(p.items()) for p in parts]
-        exps = sorted({k for t in terms for k in t})
-        row = {k: t for t, k in enumerate(exps)}
-        self._coeffs = np.zeros((len(exps), len(parts)))
+        # num / den straight from the integer view: int division rounds
+        # correctly, as float(Fraction(num, den)) does
+        terms = [[(k, num / den) for den, part in p.graded().values()
+                  for k, num in part] for p in parts]
+        keys = sorted({k for t in terms for k, _ in t},
+                      key=lambda k: unpack(k, n))
+        row = {k: r for r, k in enumerate(keys)}
+        self._coeffs = np.zeros((len(keys), len(parts)))
         for col, t in enumerate(terms):
-            for k, c in t.items():
-                self._coeffs[row[k], col] = float(c)
-        self._exps = np.array(exps, dtype=np.intp).reshape(len(exps), n)
+            for k, c in t:
+                self._coeffs[row[k], col] = c
+        self._exps = np.array([unpack(k, n) for k in keys],
+                              dtype=np.intp).reshape(len(keys), n)
         self._top = int(self._exps.max())  # at least 2: V holds the x_i^2
 
     def jet(self, pts: np.ndarray):
@@ -304,12 +311,25 @@ def _action_hessian(ev: _ModelEval, spec: _Spectral, hess_v: np.ndarray):
     return pot.transpose(2, 0, 3, 1).reshape(nodes * n, nodes * n)
 
 
+def _convex_solve(matrix: np.ndarray, rhs: np.ndarray, where: str) -> np.ndarray:
+    """matrix^-1 rhs for a discrete action Hessian block that the convexity
+    hypothesis makes positive definite.  Its Cholesky factorization is the
+    certificate, raised as HypothesisViolation (``where`` ends the message
+    prefix); the solve then takes the matrix itself, as numpy has no
+    triangular solve and one LU solve of it beats two on the factor."""
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise HypothesisViolation(
+            f"discrete Hessian is not positive definite{where}: {exc}") from exc
+    return np.linalg.solve(matrix, rhs)
+
+
 def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
             max_iter: int = 60):
     """Damped Newton on the interior values; the last row of ``free`` is
     the fixed endpoint.  Returns the minimizer, its action, gradient and
     Hess V at the Gauss points, and the iteration count."""
-    from scipy.linalg import cho_factor, cho_solve
     n = ev.dim
     action, grad, hess_v = _action_and_gradient(ev, spec, free)
     for iterations in range(max_iter + 1):
@@ -324,14 +344,8 @@ def _newton(ev: _ModelEval, spec: _Spectral, free: np.ndarray, tol: float,
             return free, action, grad, hess_v, iterations
         if iterations == max_iter:
             break
-        try:
-            factor = cho_factor(_action_hessian(ev, spec, hess_v)[:-n, :-n],
-                                check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise HypothesisViolation(
-                f"discrete Hessian is not positive definite (non-convex "
-                f"potential along the path?): {exc}") from exc
-        step = cho_solve(factor, -g_inner, check_finite=False)
+        step = _convex_solve(_action_hessian(ev, spec, hess_v)[:-n, :-n],
+                             -g_inner, " (non-convex potential along the path?)")
         if not np.all(np.isfinite(step)) or float(step @ g_inner) >= 0.0:
             raise HypothesisViolation(
                 "Newton direction is not a descent direction; the sampled "
@@ -464,16 +478,10 @@ class MomentumProvider:
         points given) and the response -K_ii^-1 K_ix ((N-1) dim, dim) of
         its interior values to its endpoint, which keeps the interior
         gradient zero."""
-        from scipy.linalg import cho_factor, cho_solve
         hess = _action_hessian(self._ev, self._spec, hess_v)
         n = self._ev.dim
-        try:
-            inner = cho_factor(hess[:-n, :-n], check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise HypothesisViolation(
-                f"discrete Hessian is not positive definite at the "
-                f"minimizer: {exc}") from exc
-        return hess, -cho_solve(inner, hess[:-n, -n:], check_finite=False)
+        return hess, -_convex_solve(hess[:-n, :-n], hess[:-n, -n:],
+                                    " at the minimizer")
 
     def _fields(self, points) -> np.ndarray:
         """The Jacobi fields d gamma(s) / dx (N+1, dim, dim) of the minimizer
@@ -648,7 +656,25 @@ def _rms(v: np.ndarray) -> float:
     return float(np.linalg.norm(v)) / math.sqrt(v.size)
 
 
-def _dop853(rhs, y, t_end: float, gap):
+def _hermite_crossing(gap, y0, f0, y1, f1, h):
+    """The fraction th in (0, 1] of a step of length h (from y0 with slope
+    f0 to y1 with slope f1, gap(y1) >= 0) at which ``gap`` first rises
+    through 0 on the step's cubic Hermite interpolant, found by bisection,
+    and the interpolated state there."""
+    def hermite(th):
+        return ((1.0 - th) ** 2 * ((1.0 + 2.0 * th) * y0 + th * h * f0)
+                + th ** 2 * ((3.0 - 2.0 * th) * y1 - (1.0 - th) * h * f1))
+    lo, mid, hi = 0.0, 0.5, 1.0  # gap < 0 at lo (or lo = 0), >= 0 at hi
+    while lo < mid < hi:
+        if gap(hermite(mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return hi, hermite(hi)
+
+
+def _dop853(rhs, y, t_end: float, gap, retake: bool = False):
     """DOP853 steps of y' = rhs(t, y) from y at t = 0 to t = t_end (either
     sign), at _FLOW_RTOL and _FLOW_ATOL, with scipy's initial step and
     step-size control: safety 0.9, factor in [0.2, 10], exponent -1/8 on
@@ -658,8 +684,11 @@ def _dop853(rhs, y, t_end: float, gap):
     at which ``gap(state)`` first rises through 0, or None; the
     integration ends there, the crossing located by bisection on the last
     step's cubic Hermite interpolant, whose end slopes the stages already
-    hold.  A step size below the spacing of the floats raises
-    GradientProviderFailure.
+    hold.  With ``retake`` (for a cheap rhs) the step is then taken again
+    from its start up to that crossing, and, if it still reaches it, the
+    crossing is located again on that short step's interpolant: near a
+    blow-up the cubic lags the solution over a long step.  A step size
+    below the spacing of the floats raises GradientProviderFailure.
     """
     direction = math.copysign(1.0, t_end)
     t, f = 0.0, rhs(0.0, y)
@@ -674,6 +703,15 @@ def _dop853(rhs, y, t_end: float, gap):
           else (0.01 / max(d1, d2)) ** 0.125)
     h_abs = min(100.0 * h0, h1, span)
     stages = np.empty((12, y.size))
+
+    def step(h):
+        """The eighth-order state at t + h from the current t, y and f;
+        fills ``stages``."""
+        stages[0] = f
+        for i in range(1, 12):
+            stages[i] = rhs(t + _DOP_C[i] * h, y + h * (_DOP_A[i, :i] @ stages[:i]))
+        return y + h * (_DOP_B @ stages)
+
     while t != t_end:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
@@ -687,11 +725,7 @@ def _dop853(rhs, y, t_end: float, gap):
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            stages[0] = f
-            for i in range(1, 12):
-                stages[i] = rhs(t + _DOP_C[i] * h,
-                                y + h * (_DOP_A[i, :i] @ stages[:i]))
-            y_new = y + h * (_DOP_B @ stages)
+            y_new = step(h)
             f_new = rhs(t_new, y_new)
             scale = _FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _FLOW_RTOL
             err5 = float(np.sum(((_DOP_E5 @ stages) / scale) ** 2))
@@ -706,18 +740,15 @@ def _dop853(rhs, y, t_end: float, gap):
             rejected = True
         above = gap(y_new)
         if below <= 0.0 <= above:
-            def hermite(th):
-                return ((1.0 - th) ** 2 * ((1.0 + 2.0 * th) * y + th * h * f)
-                        + th ** 2 * ((3.0 - 2.0 * th) * y_new - (1.0 - th) * h * f_new))
-            lo, mid, hi = 0.0, 0.5, 1.0  # gap < 0 at lo (or lo = 0), >= 0 at hi
-            while lo < mid < hi:
-                if gap(hermite(mid)) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                mid = 0.5 * (lo + hi)
-            times.append(t + hi * h)
-            states.append(hermite(hi))
+            th, y_cross = _hermite_crossing(gap, y, f, y_new, f_new, h)
+            if retake and th < 1.0:
+                y_short = step(th * h)
+                if gap(y_short) >= 0.0:
+                    h *= th
+                    th, y_cross = _hermite_crossing(
+                        gap, y, f, y_short, rhs(t + h, y_short), h)
+            times.append(t + th * h)
+            states.append(y_cross)
             return times, states, times[-1]
         t, y, f, below = t_new, y_new, f_new, above
         times.append(t)
@@ -768,7 +799,7 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
             return np.concatenate([y[n:] / mass, jet(y[None, :n])[1][0]])
         times, states, escape_time = _dop853(
             rhs, np.concatenate([x, provider.momentum(x)]), horizon,
-            lambda y: float(np.linalg.norm(y[:n])) - _ESCAPE_RADIUS)
+            lambda y: float(np.linalg.norm(y[:n])) - _ESCAPE_RADIUS, retake=True)
         return FlowTrajectory(times=np.array(times),
                               points=np.array(states)[:, :n],
                               escape_time=escape_time)

@@ -1,9 +1,10 @@
 """Every module-level import in the package is used, every module-level
 private helper is referenced (no linter is installed, so this is the guard),
-no module imports scipy at module level, so the exact subcommands never
-load it, and no function imports ``scipy.integrate``.  The module-level
-guards read ``tree.body`` only: an import inside a function (where the
-float code imports ``scipy.linalg``) is out of their view."""
+no module imports scipy at module level, and the one function that imports
+it at all is ``resummation._spectrum``, the spectral reference of
+``resum``: every other subcommand, and ``numeric_s1``, runs without it.
+The module-level guards read ``tree.body`` only; the function-level guard
+walks every function body."""
 
 import ast
 import os
@@ -76,6 +77,8 @@ def test_no_module_level_scipy(path):
 _FRESH_CLI = textwrap.dedent("""
     import sys
     from anharmonic.cli import main
+    from anharmonic.model import kappa_model
+    from anharmonic.variational import numeric_s1
 
     def scipy_loaded():
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -93,30 +96,30 @@ _FRESH_CLI = textwrap.dedent("""
             ["resum", "--series", f"{out}/series.json", "--mu", "0.2",
              "--pade", "2,2"],
             ["scan", "--engine", "closed", "--model", "builtin:sectic",
-             "--grid=-1:1:5"])):
+             "--grid=-1:1:5"],
+            ["variational", "--model", "builtin:quartic", "--point", "0.7"],
+            ["scan", "--engine", "variational", "--model", "builtin:quartic",
+             "--grid=0.1:0.7:3"],
+            ["flow", "--model", "builtin:quartic", "--point", "0.8"],
+            ["flow", "--model", "builtin:quartic", "--point", "0.8",
+             "--forward"])):
         assert main([*argv, "--output", f"{out}/{i}.json"]) == 0, argv
+    assert numeric_s1(kappa_model(2), [0.5]) > 0.0
     assert scipy_loaded() == [], scipy_loaded()
     assert main(["resum", "--series", "builtin:quartic-ground", "--mu", "0.2",
                  "--output", f"{out}/resum.json"]) == 0
     assert "scipy.linalg" in sys.modules
     assert "scipy.integrate" not in sys.modules, scipy_loaded()
-    for i, argv in enumerate((
-            ["variational", "--model", "builtin:quartic", "--point", "0.7"],
-            ["flow", "--model", "builtin:quartic", "--point", "0.8"],
-            ["flow", "--model", "builtin:quartic", "--point", "0.8",
-             "--forward"])):
-        assert main([*argv, "--output", f"{out}/float{i}.json"]) == 0, argv
-    assert "scipy.integrate" not in sys.modules, scipy_loaded()
 """)
 
 
-def test_exact_subcommands_never_load_scipy(tmp_path):
+def test_only_the_spectral_reference_loads_scipy(tmp_path):
     """A fresh interpreter (this one holds scipy already) runs the six exact
-    subcommands, a ``resum`` without a reference and a sextic
-    ``scan --engine closed`` (its S_0 by numpy quadrature) without loading
-    scipy; a ``resum`` with a reference, ``variational`` and a backward and
-    a forward ``flow`` then load ``scipy.linalg`` but not
-    ``scipy.integrate``."""
+    subcommands, a ``resum`` without a reference, a sextic
+    ``scan --engine closed`` (its S_0 by numpy quadrature), ``variational``,
+    ``scan --engine variational``, a backward and a forward ``flow`` and
+    ``numeric_s1`` without loading scipy; a ``resum`` with a reference then
+    loads ``scipy.linalg`` but not ``scipy.integrate``."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, str(tmp_path)],
@@ -124,9 +127,9 @@ def test_exact_subcommands_never_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def scipy_integrate_importers(sources: dict[str, str]) -> list[str]:
-    """Every function, as module.qualified_name, with an import of
-    ``scipy.integrate`` anywhere in its body (a nested function's import
+def scipy_importers(sources: dict[str, str]) -> list[str]:
+    """Every function, as module.qualified_name, with an import of scipy
+    or a scipy submodule anywhere in its body (a nested function's import
     counts for the nested function)."""
     found = []
 
@@ -138,12 +141,10 @@ def scipy_integrate_importers(sources: dict[str, str]) -> list[str]:
             if isinstance(child, ast.Import):
                 names = [alias.name for alias in child.names]
             elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [f"{child.module}.{alias.name}" for alias in child.names]
-                names.append(child.module)
+                names = [child.module]
             else:
                 names = []
-            if scope and any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
-                             for n in names):
+            if scope and any(n.split(".")[0] == "scipy" for n in names):
                 found.append(f"{module}.{'.'.join(scope)}")
             visit(child, module, scope)
 
@@ -152,19 +153,23 @@ def scipy_integrate_importers(sources: dict[str, str]) -> list[str]:
     return sorted(set(found))
 
 
-def test_guard_sees_scipy_integrate_importers():
+def test_guard_sees_scipy_importers():
     source = ("import scipy.integrate\n"
               "def f():\n    from scipy.integrate import quad\n"
               "def g():\n    from scipy import integrate\n"
               "class C:\n    def h(self):\n        if True:\n"
               "            import scipy.integrate as si\n"
-              "def k():\n    def inner():\n        from scipy.linalg import eigh\n")
-    assert scipy_integrate_importers({"m": source}) == ["m.C.h", "m.f", "m.g"]
+              "def k():\n    def inner():\n        from scipy.linalg import eigh\n"
+              "def m():\n    import numpy.linalg, scipy\n"
+              "def n():\n    from .scipy import x\n    import scipyx\n")
+    assert scipy_importers({"m": source}) == ["m.C.h", "m.f", "m.g", "m.k.inner",
+                                              "m.m"]
 
 
-def test_no_function_imports_scipy_integrate():
-    assert scipy_integrate_importers(
-        {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+def test_only_the_spectral_reference_imports_scipy():
+    assert scipy_importers(
+        {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == [
+        "resummation._spectrum"]
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
