@@ -257,7 +257,8 @@ def u1_closed(model: Kappa1DModel, n: int, x: float) -> float:
     """Variation-of-parameters factor u_1 (kappa = 2).
 
     Carries a -n(n-1)/(4 m w x^2) singularity at the origin for n >= 2; the
-    product u_1 phi_0 stays smooth (see evaluate_wavefunction).
+    product u_1 phi_0 stays smooth (the ``psi`` column of
+    wavefunction_factors).
     """
     return _closed(model, "u_1", n, x)
 
@@ -276,60 +277,24 @@ def sternberg_1d(model: Kappa1DModel, x: float) -> float:
     return 2.0 ** (1.0 / p) * x / (1.0 + r) ** (1.0 / p)
 
 
-def sternberg_1d_inverse(model: Kappa1DModel, y: float) -> float:
-    """Inverse map x(y) = y / (1 - (g/2 m w^2) y^(2(kappa-1)))^(1/(kappa-1)).
-
-    Defined for |y| < (2 m w^2 / g)^(1/(2(kappa-1))).
-    """
-    p = model.kappa - 1
-    bound = (2.0 * model.mass * model.omega0 ** 2 / model.g) ** (1.0 / (2 * p))
-    if abs(y) >= bound:
-        raise DomainExceeded(
-            f"|y| = {abs(y)} outside the inversion interval |y| < {bound}",
-            bound=bound)
-    t = model.g * y ** (2 * p) / (2.0 * model.mass * model.omega0 ** 2)
-    return y / (1.0 - t) ** (1.0 / p)
-
-
-def _psi(model: Kappa1DModel, n: int, hbar: float, order: int, x: float,
+def _psi(model: Kappa1DModel, n: int, hbar: float, x: float,
          s0: float, s1: float, s2: float, phi0: float) -> float:
     """(phi_0 + hbar phi_1 + (hbar^2/2) phi_2) exp(-S_0/hbar - S_1 - (hbar/2) S_2)
     from the values of S_0, S_1, S_2 and phi_0 at x, phi_k = u_k phi_0, with
     the Laurent heads of u_k folded into phi_0 so it stays smooth across
-    x = 0."""
+    x = 0.  Beyond kappa = 2 only the leading phi_0 exp(-S_0/hbar) is known."""
     exponent = -s0 / hbar
-    if order >= 1:
-        exponent -= s1
-    if order >= 2:
-        exponent -= 0.5 * hbar * s2
     total = phi0
-    if n and order >= 1:
-        total += hbar * _closed(model, "u_1", n, x, power=n)
-    if n and order >= 2:
-        total += 0.5 * hbar * hbar * _closed(model, "u_2", n, x, power=n)
+    if model.kappa == 2:
+        exponent -= s1
+        exponent -= 0.5 * hbar * s2
+        if n:
+            total += hbar * _closed(model, "u_1", n, x, power=n)
+            total += 0.5 * hbar * hbar * _closed(model, "u_2", n, x, power=n)
     psi = total * math.exp(exponent)
     if psi != psi:  # hbar^2 phi_2 overflowed where exp(exponent) underflowed
         raise DomainExceeded(f"psi overflows at hbar = {hbar}, x = {x}", x=x)
     return psi
-
-
-def evaluate_wavefunction(model: Kappa1DModel, hbar: float, n: int,
-                          order: int, x: float) -> float:
-    """Unnormalized semiclassical wavefunction
-    (phi_0 + hbar phi_1 + (hbar^2/2) phi_2) exp(-S_0/hbar - S_1 - (hbar/2) S_2)
-    truncated at the requested order."""
-    if order not in (0, 1, 2):
-        raise UnsupportedOrder(f"order must be 0, 1 or 2, got {order}")
-    if n < 0:
-        raise UnsupportedOrder(f"excitation n must be >= 0, got {n}")
-    if order >= 1 and model.kappa != 2:
-        raise UnsupportedKappa(
-            f"corrections beyond leading order need kappa = 2, "
-            f"got kappa = {model.kappa}")
-    return _psi(model, n, hbar, order, x, s0_closed(model, x),
-                s1_closed(model, x) if order >= 1 else math.nan,
-                s2_closed(model, x) if order >= 2 else math.nan,
-                phi0_closed(model, n, x))
 
 
 def wavefunction_factors(model: Kappa1DModel, n: int, hbar: float,
@@ -340,7 +305,6 @@ def wavefunction_factors(model: Kappa1DModel, n: int, hbar: float,
         "phi0": [], "u1": [], "u2": [], "psi": [],
     }
     quartic = model.kappa == 2
-    order = 2 if quartic else 0
     for x in xs:
         s0 = s0_closed(model, x)
         s1 = s1_closed(model, x) if quartic else math.nan
@@ -356,5 +320,5 @@ def wavefunction_factors(model: Kappa1DModel, n: int, hbar: float,
                           if quartic and n >= 1 else math.nan)
         rows["u2"].append(u2_closed(model, n, x)
                           if quartic and n >= 1 else math.nan)
-        rows["psi"].append(_psi(model, n, hbar, order, x, s0, s1, s2, phi0))
+        rows["psi"].append(_psi(model, n, hbar, x, s0, s1, s2, phi0))
     return rows

@@ -195,12 +195,6 @@ def hj_residual(action: FormalAction) -> PolySeries:
     return dot_gradients(grad, grad).scale(inv_2m) - action.model.potential_series(t)
 
 
-def flow_field(action: FormalAction) -> list[PolySeries]:
-    """The gradient semi-flow field grad S0 / m as a list of series."""
-    inv_m = Fraction(1) / action.model.mass
-    return [p.scale(inv_m) for p in action.S0.gradient()]
-
-
 def sternberg_linearize(action: FormalAction, trunc: int) -> SternbergMap:
     """Compute the formal linearizing map mu through degree ``trunc``.
 
@@ -238,7 +232,8 @@ def sternberg_residual(smap: SternbergMap, action: FormalAction) -> list[PolySer
     only uses D mu below degree t, and both factors may be relabelled to t.
     """
     t = smap.trunc
-    field = [f.with_truncation(t) for f in flow_field(action)]
+    inv_m = Fraction(1) / action.model.mass
+    field = [g.with_truncation(t).scale(inv_m) for g in action.S0.gradient()]
     out = []
     for axis, comp in enumerate(smap.mu):
         grad = [g.with_truncation(t) for g in comp.gradient()]

@@ -203,10 +203,6 @@ class PolySeries:
         den, part = self._view.get(sum(index), (1, ())) if valid else (1, ())
         return Fraction(dict(part).get(pack(index), 0), den)
 
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coefficient([0] * self.dim)
-
     def is_zero(self) -> bool:
         return not self._view
 
@@ -324,12 +320,6 @@ class PolySeries:
             if part := slice_of(acc):
                 view[d - 2] = part
         return PolySeries._from_view(self.dim, max(self.trunc - 2, 0), view)
-
-    def homogeneous_component(self, degree: int) -> "PolySeries":
-        if not (0 <= degree <= self.trunc):
-            raise DegreeOutOfRange(
-                f"degree {degree} outside [0, {self.trunc}]")
-        return self._map_slices(self.trunc, lambda d, part: part if d == degree else None)
 
     # -- evaluation --------------------------------------------------------
 

@@ -29,7 +29,7 @@ gradient, dI/dgamma(1), and its x-derivative Hess S_0(x) is the Schur
 complement of the interior block in the discrete action Hessian.  Both
 come from one lean minimization (``_solve``: Newton and the resolution
 check, nothing else); only ``MomentumProvider.minimize`` derives the
-velocities, energy drift, HJ residual and node times of a full report.
+velocities, energy drift and HJ residual of a full report.
 
 The minimizer to a point gamma(sigma) of the minimizer to x is that
 curve's own tail: by time-shift invariance it is s -> gamma(sigma s), and
@@ -200,15 +200,8 @@ def _spectral(nodes: int) -> _Spectral:
 
 
 @dataclass
-class CurveGrid:
-    """Discretized curve: node times (t_0 = -inf ... t_N = 0) and points."""
-    times: np.ndarray
-    points: np.ndarray  # (N+1, dim); points[0] = origin, points[-1] = target
-
-
-@dataclass
 class VariationalResult:
-    curve: CurveGrid
+    points: np.ndarray  # (N+1, dim); points[0] = origin, points[-1] = target
     action: float
     momentum: np.ndarray
     ip_energy_drift: float
@@ -223,7 +216,7 @@ class VariationalResult:
             "hj_residual": self.hj_residual,
             "converged": True,  # every failure raises
             "iterations": self.iterations,
-            "nodes": int(self.curve.points.shape[0] - 1),
+            "nodes": int(self.points.shape[0] - 1),
         }
 
 
@@ -446,8 +439,8 @@ class MomentumProvider:
                 f"(and at most {_MAX_NODES})", exponent=top, nodes=nodes)
 
     def minimize(self, x) -> VariationalResult:
-        """The minimizer to x with its velocities, energy drift, HJ
-        residual and node times."""
+        """The minimizer to x with its velocities, energy drift and HJ
+        residual."""
         ev, spec = self._ev, self._spec
         pts, action, grad, _, iters = _solve(ev, spec, x)
         s = spec.nodes
@@ -456,11 +449,8 @@ class MomentumProvider:
         v = ev.potential(pts)
         energy = 0.5 * ev.mass * (vel ** 2).sum(axis=1) - v
         hj = abs(float((momentum ** 2).sum()) / (2.0 * ev.mass) - float(v[-1]))
-        times = np.empty(s.size)
-        times[0] = -np.inf
-        times[1:] = np.log(s[1:]) / ev.rate
         return VariationalResult(
-            curve=CurveGrid(times=times, points=pts),
+            points=pts,
             action=action, momentum=momentum,
             ip_energy_drift=float(np.abs(energy).max()), hj_residual=hj,
             iterations=iters)
@@ -803,21 +793,21 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
         return FlowTrajectory(times=np.array(times),
                               points=np.array(states)[:, :n],
                               escape_time=escape_time)
-    curve = provider.minimize(x).curve  # first: it rejects an overflowing x
+    curve = provider.minimize(x).points  # first: it rejects an overflowing x
     if float(np.linalg.norm(x)) <= _ARRIVAL_RADIUS:
         return FlowTrajectory(times=np.zeros(2), points=np.stack([x, x]),
                               deviation_from_minimizer=0.0)
-    fields = provider._fields(curve.points)
+    fields = provider._fields(curve)
     spec, rate = provider._spec, provider._ev.rate
 
     def rhs(t, y):
-        start = provider._tail_start(curve.points, fields, math.exp(rate * t), y)
+        start = provider._tail_start(curve, fields, math.exp(rate * t), y)
         return provider.momentum(y, start=start) / mass
     times, states, _ = _dop853(
         rhs, x, -horizon,
         lambda y: _ARRIVAL_RADIUS - float(np.linalg.norm(y)))
     times, points = np.array(times[::-1]), np.array(states[::-1])
-    gap = points - _lagrange(spec.nodes, spec.bary, np.exp(rate * times)) @ curve.points
+    gap = points - _lagrange(spec.nodes, spec.bary, np.exp(rate * times)) @ curve
     return FlowTrajectory(times=times, points=points,
                           deviation_from_minimizer=float(np.abs(gap).max()))
 
@@ -839,7 +829,7 @@ def numeric_s1(model: OscillatorModel, x) -> float:
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
     provider = MomentumProvider(model)
-    points = provider.minimize(x).curve.points
+    points = provider.minimize(x).points
     spec, rate = provider._spec, provider._ev.rate
     fields = provider._fields(points)
     half_omega = 0.5 * float(sum(model.omega))

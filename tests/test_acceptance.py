@@ -216,7 +216,7 @@ class TestVariationalQuartic:
         ev = _ModelEval(self.model)
         for x in (0.5, 1.0, 2.0):
             result = minimize_action(self.model, [x])
-            vmax = float(ev.potential(result.curve.points).max())
+            vmax = float(ev.potential(result.points).max())
             assert result.ip_energy_drift <= 1e-6 * vmax
             vx = float(ev.potential(np.array([[x]]))[0])
             assert result.hj_residual <= 1e-6 * vx

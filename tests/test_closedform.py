@@ -9,19 +9,17 @@ from scipy.integrate import quad
 from anharmonic.closedform import (
     Kappa1DModel,
     _form,
-    evaluate_wavefunction,
     phi0_closed,
     q_closed,
     s0_closed,
     s1_closed,
     s2_closed,
     sternberg_1d,
-    sternberg_1d_inverse,
     u1_closed,
     u2_closed,
     wavefunction_factors,
 )
-from anharmonic.errors import DomainExceeded, UnsupportedKappa, UnsupportedOrder
+from anharmonic.errors import UnsupportedKappa
 from anharmonic.hjformal import solve_hj_formal
 from anharmonic.model import kappa_model
 from anharmonic.transport import excited_expansion, ground_expansion
@@ -241,17 +239,19 @@ class TestSternberg1D:
     def test_fixes_origin(self):
         cf = quartic()
         assert sternberg_1d(cf, 0.0) == 0.0
-        assert sternberg_1d_inverse(cf, 0.0) == 0.0
 
     def test_harmonic_limit_identity(self):
         cf = quartic(g=1e-16)
         assert sternberg_1d(cf, 1.3) == pytest.approx(1.3, rel=1e-9)
 
     def test_round_trip(self):
+        """The kappa = 2 inverse x(y) = y / (1 - g y^2 / (2 m w^2)) undoes
+        the map."""
         cf = quartic(g=0.7)
         for x in (-10.0, -1.0, -0.1, 0.2, 3.0, 10.0):
             y = sternberg_1d(cf, x)
-            assert abs(sternberg_1d_inverse(cf, y) - x) <= 1e-12 * max(1, abs(x))
+            back = y / (1.0 - cf.g * y * y / (2.0 * cf.mass * cf.omega0 ** 2))
+            assert abs(back - x) <= 1e-12 * max(1, abs(x))
 
     def test_conjugates_flow_to_linear(self):
         """(1/m) S0'(x) y'(x) = w y(x): the map straightens the gradient
@@ -267,29 +267,23 @@ class TestSternberg1D:
             lhs = math.sqrt(2.0 * v) * dy
             assert lhs == pytest.approx(sternberg_1d(cf, x), rel=1e-10)
 
-    def test_inverse_domain_guard(self):
-        cf = quartic(g=2.0)
-        limit = 1.0  # (2 m w^2 / g)^(1/2) with these parameters
-        with pytest.raises(DomainExceeded):
-            sternberg_1d_inverse(cf, 1.5 * limit)
-
 
 class TestWavefunction:
     def test_gaussian_limit(self):
         cf = quartic(g=1e-16)
-        psi = evaluate_wavefunction(cf, 1.0, 0, 0, 0.9)
+        psi = wavefunction_factors(cf, 0, 1.0, [0.9])["psi"][0]
         assert psi == pytest.approx(math.exp(-0.5 * 0.81), rel=1e-9)
 
     def test_first_order_ground_prefactor(self):
-        """order-1 ground state is (1+u)^(-1/4) ((1+R)/2)^(-1/2) e^(-S0/hbar)."""
+        """The first-order ground prefactor e^(-S1) is
+        (1+u)^(-1/4) ((1+R)/2)^(-1/2)."""
         cf = quartic(g=0.5)
-        x, hbar = 0.8, 1.0
+        x = 0.8
         u = 2 * cf.g * x * x
         r = math.sqrt(1.0 + u)
-        expect = ((1 + u) ** -0.25 * ((1 + r) / 2) ** -0.5
-                  * math.exp(-s0_closed(cf, x) / hbar))
-        psi = evaluate_wavefunction(cf, hbar, 0, 1, x)
-        assert psi == pytest.approx(expect, rel=1e-12)
+        expect = (1 + u) ** -0.25 * ((1 + r) / 2) ** -0.5
+        s1 = wavefunction_factors(cf, 0, 1.0, [x])["S1"][0]
+        assert math.exp(-s1) == pytest.approx(expect, rel=1e-12)
 
     def test_decay_exponent(self):
         """-S0(x)/x^3 -> -sqrt(2 m g)/3: faster-than-gaussian decay of
@@ -308,18 +302,19 @@ class TestWavefunction:
         def hermite(x):
             return (x ** 4 - 3 * x * x + 0.75) * math.exp(-0.5 * x * x)
         x0, x1 = 0.7, 1.9
-        got = (evaluate_wavefunction(cf, 1.0, 4, 2, x1)
-               / evaluate_wavefunction(cf, 1.0, 4, 2, x0))
+        psi = wavefunction_factors(cf, 4, 1.0, [x0, x1])["psi"]
+        got = psi[1] / psi[0]
         assert got == pytest.approx(hermite(x1) / hermite(x0), rel=1e-6)
 
-    def test_order_guard(self):
-        with pytest.raises(UnsupportedOrder):
-            evaluate_wavefunction(quartic(), 1.0, 0, 3, 0.5)
-
     def test_kappa_guard(self):
+        """Beyond kappa = 2 only S_0 and phi_0 are known: every correction
+        column is NaN and psi is the leading phi_0 exp(-S_0/hbar)."""
         cf = Kappa1DModel(mass=1.0, omega0=1.0, g=1.0, kappa=3)
-        with pytest.raises(UnsupportedKappa):
-            evaluate_wavefunction(cf, 1.0, 0, 2, 0.5)
+        cols = wavefunction_factors(cf, 1, 0.5, [0.5])
+        for key in ("S1", "S2", "Q", "u1", "u2"):
+            assert math.isnan(cols[key][0]), key
+        expect = cols["phi0"][0] * math.exp(-cols["S0"][0] / 0.5)
+        assert cols["psi"][0] == expect
 
     def test_factors_grid_is_finite(self):
         cf = quartic(g=0.5)

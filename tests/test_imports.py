@@ -1,6 +1,8 @@
-"""Every module-level import in the package is used, every module-level
-private helper is referenced (no linter is installed, so this is the guard),
-no module imports scipy at module level, and the one function that imports
+"""Every module-level import in the package is used or listed in
+``__all__``, every module-level private helper is referenced, every public
+function, class and method is called, bar a listed few kept for callers
+outside the package (no linter is installed, so this is the guard), no
+module imports scipy at module level, and the one function that imports
 it at all is ``resummation._spectrum``, the spectral reference of
 ``resum``: every other subcommand, and ``numeric_s1``, runs without it.
 The module-level guards read ``tree.body`` only; the function-level guard
@@ -8,16 +10,26 @@ walks every function body."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import anharmonic
+
 SRC = Path(__file__).parent.parent / "src"
 PACKAGE = sorted((SRC / "anharmonic").glob("*.py"))
-SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]  # __init__ re-exports by design
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in a module-level ``__all__``."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +42,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported(tree)
     return [f"{name} (line {line})" for name, line in bound.items()
             if name not in used]
 
@@ -38,11 +50,30 @@ def unused_imports(source: str) -> list[str]:
 def test_guard_sees_unused_imports():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") \
         == ["os (line 1)", "b (line 3)"]
+    assert unused_imports("from a import b, c\n__all__ = ['c']\n") == ["b (line 1)"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_readme_library_example():
+    """The README's library example runs, its energies are exact, and the
+    package re-exports exactly what it imports, plus ``EngineError``."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library example\n+```python\n(.*?)^```$", readme,
+                      re.DOTALL | re.MULTILINE).group(1)
+    namespace = {}
+    exec(block, namespace)
+    energies = namespace["energy_series"](namespace["ground"])
+    assert all(type(e) is Fraction for e in energies)
+    assert energies == [Fraction(1, 2), Fraction(3, 4), Fraction(-21, 8),
+                        Fraction(333, 16)]
+    imported = {alias.name for node in ast.parse(block).body
+                if isinstance(node, ast.ImportFrom) and node.module == "anharmonic"
+                for alias in node.names}
+    assert sorted(anharmonic.__all__) == sorted(imported | {"EngineError"})
 
 
 def module_level_scipy(source: str) -> list[str]:
@@ -209,6 +240,74 @@ def test_guard_sees_dead_private_names():
 def test_no_dead_private_helpers():
     assert dead_private_names(
         {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+def dead_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level public functions and classes, and public methods of
+    module-level classes, that no module of ``sources`` (name -> text)
+    loads by name or attribute or lists in ``__all__``.  An import alone
+    is no use: a re-export calls nothing, and an import that nothing reads
+    is caught by ``unused_imports``."""
+    defined, used = [], set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        used |= exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{module}: {qualname}" for module, qualname, name in defined
+            if not name.startswith("_") and name not in used]
+
+
+def test_guard_sees_dead_public_names():
+    sources = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
+                    "def h():\n    pass\ndef api():\n    pass\n"
+                    "class C:\n    def used(self):\n        pass\n"
+                    "    def dead(self):\n        pass\n"
+                    "    def _private(self):\n        pass\n"
+                    "__all__ = ['api']\n",
+               "b": "from a import h, C\nC().used()\n"}
+    assert dead_public_names(sources) == ["a: f", "a: h", "a: C.dead"]
+
+
+# Public names that no module of the package calls, each kept for its
+# callers outside the package.  A name that gains a caller in the package
+# leaves this dict; any other uncalled public name is deleted.
+KEPT_PUBLIC = {
+    "closedform.py: sternberg_1d":
+        "tier-1 oracle: the closed-form map the formal Sternberg map is "
+        "compared against (test_acceptance)",
+    "rsoracle.py: first_order_matrix_element":
+        "perfbench's rs check compares it with rs_expand's exact c_1",
+    "series.py: PolySeries.coefficient":
+        "perfbench's transport and sternberg checks, and tier-1 tests, "
+        "read single coefficients",
+    "series.py: PolySeries.evaluate":
+        "tier-1 oracles: the formal series against the minimizer and the "
+        "closed forms (test_variational, test_acceptance)",
+    "series.py: PolySeries.evaluate_exact":
+        "tier-1 oracles: the formal series against the closed forms "
+        "(test_closedform)",
+    "transport.py: transport_residual":
+        "perfbench's transport check and tier-1 acceptance tests",
+    "variational.py: numeric_s1":
+        "perfbench's variational-2d workload and the tier-1 check of S_1 "
+        "against its closed form",
+}
+
+
+def test_no_dead_public_names():
+    assert dead_public_names(
+        {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == list(KEPT_PUBLIC)
 
 
 def key_layout_uses(source: str) -> list[str]:

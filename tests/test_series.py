@@ -94,11 +94,11 @@ class TestCalculus:
             S(2, 4, {}).partial_derivative(2)
 
     def test_laplacian_half_x_squared(self):
-        assert S(1, 4, {(2,): "1/2"}).laplacian().constant_term == 1
+        assert S(1, 4, {(2,): "1/2"}).laplacian().coefficient((0,)) == 1
 
     def test_laplacian_2d_sum_of_squares(self):
         a = S(2, 4, {(2, 0): 1, (0, 2): 1})
-        assert a.laplacian().constant_term == 4
+        assert a.laplacian().coefficient((0, 0)) == 4
 
     def test_laplacian_quartic(self):
         lap = S(1, 4, {(4,): 1}).laplacian()
@@ -123,11 +123,6 @@ class TestTruncation:
     def test_negative_truncation_rejected(self):
         with pytest.raises(DegreeOutOfRange):
             PolySeries(1, -1, {})
-
-    def test_homogeneous_component(self):
-        a = S(1, 6, {(2,): 1, (4,): 5})
-        assert a.homogeneous_component(4).coefficient((4,)) == 5
-        assert a.homogeneous_component(4).coefficient((2,)) == 0
 
 
 class TestSerialization:

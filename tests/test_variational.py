@@ -121,7 +121,7 @@ class TestMinimizer:
         ev = _ModelEval(model)
         for x in (0.5, 2.0):
             result = minimize_action(model, [x])
-            vmax = float(ev.potential(result.curve.points).max())
+            vmax = float(ev.potential(result.points).max())
             assert result.ip_energy_drift <= 1e-6 * vmax
             vx = float(ev.potential(np.array([[x]]))[0])
             assert result.hj_residual <= 1e-6 * vx
@@ -154,7 +154,7 @@ class TestMinimizer:
     def test_discrete_hessian_positive_definite_at_minimizer(self):
         model = quartic()
         ev, spec = _ModelEval(model), _spectral(60)
-        free = minimize_action(model, [1.0], 60).curve.points[1:]
+        free = minimize_action(model, [1.0], 60).points[1:]
         hess = _action_hessian(ev, spec, _action_and_gradient(ev, spec, free)[2])
         assert np.linalg.eigvalsh(hess[:-1, :-1])[0] > 0.0
 
@@ -340,12 +340,10 @@ class TestMinimizer:
         assert data["nodes"] == 30
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_curve_starts_at_the_origin_at_minus_infinity(self):
-        curve = minimize_action(coupled_unequal_2d(), [0.5, -0.3]).curve
-        assert curve.times[0] == -np.inf and curve.times[-1] == 0.0
-        assert np.all(np.diff(curve.times) > 0.0)
-        assert np.array_equal(curve.points[0], [0.0, 0.0])
-        assert np.array_equal(curve.points[-1], [0.5, -0.3])
+    def test_curve_starts_at_the_origin(self):
+        points = minimize_action(coupled_unequal_2d(), [0.5, -0.3]).points
+        assert np.array_equal(points[0], [0.0, 0.0])
+        assert np.array_equal(points[-1], [0.5, -0.3])
 
 
 class TestHypotheses:
@@ -427,7 +425,7 @@ class TestHessian:
         """Started at its own minimizer, Newton factors nothing; the
         Schur complement's factorization reports the failure."""
         provider = MomentumProvider(quartic())
-        start = provider.minimize([0.5]).curve.points[1:]
+        start = provider.minimize([0.5]).points[1:]
         real = variational._action_hessian
         monkeypatch.setattr(variational, "_action_hessian",
                             lambda *args: -real(*args))
@@ -634,7 +632,7 @@ class TestCurveStart:
 
     def test_start_at_sigma_one_is_the_curve(self):
         provider = MomentumProvider(convex_2d())
-        points = provider.minimize([0.6, -0.4]).curve.points
+        points = provider.minimize([0.6, -0.4]).points
         start = provider._tail_start(points, provider._fields(points), 1.0,
                                      points[-1])
         assert np.array_equal(start, points[1:])
@@ -644,18 +642,18 @@ class TestCurveStart:
         minimizations."""
         provider = MomentumProvider(convex_2d())
         x, h = np.array([0.6, -0.4]), 1e-5
-        fields = provider._fields(provider.minimize(x).curve.points)
+        fields = provider._fields(provider.minimize(x).points)
         for b in range(2):
             step = h * np.eye(2)[b]
-            diff = (provider.minimize(x + step).curve.points
-                    - provider.minimize(x - step).curve.points) / (2 * h)
+            diff = (provider.minimize(x + step).points
+                    - provider.minimize(x - step).points) / (2 * h)
             assert fields[:, :, b] == pytest.approx(diff, abs=1e-7)
 
     def test_endpoint_of_a_start_is_pinned_to_x(self):
         """A start that ends elsewhere (the curve to another point) still
         minimizes to x."""
         provider = MomentumProvider(convex_2d())
-        other = provider.minimize([0.2, 0.5]).curve.points
+        other = provider.minimize([0.2, 0.5]).points
         x = np.array([0.6, -0.4])
         minimum = variational._solve(provider._ev, provider._spec, x, other[1:])
         assert np.array_equal(minimum.points[-1], x)
