@@ -30,7 +30,7 @@ from .model import (
 from .closedform import Kappa1DModel, wavefunction_factors
 from .resummation import resum_series
 from .rsoracle import compare_with_transport, rs_expand
-from .series import format_rational, parse_rational
+from .series import format_rational, parse_rational, to_float
 from .transport import (
     energy_series,
     excited_expansion,
@@ -168,7 +168,8 @@ def _cmd_rs(args):
     rs = rs_expand(args.kappa, args.n, args.order)
     if args.format == "csv":
         return ("order", "coefficient", "float"), [
-            (k, format_rational(c), float(c)) for k, c in enumerate(rs.coefficients)]
+            (k, format_rational(c), to_float(c, f"coefficient {k}"))
+            for k, c in enumerate(rs.coefficients)]
     return rs.to_json()
 
 
@@ -208,9 +209,11 @@ def _cmd_scan(args):
     if engine == "auto":
         engine = "closed" if builtin_kappa(model) is not None else "variational"
     if engine == "closed":
-        g = float(next(model.anharmonic.items())[1])
-        closed = Kappa1DModel(mass=float(model.mass), omega0=float(model.omega[0]),
-                              g=g, kappa=_require_kappa(model))
+        kappa = _require_kappa(model)
+        closed = Kappa1DModel(mass=to_float(model.mass, "m"),
+                              omega0=to_float(model.omega[0], "omega"),
+                              g=to_float(next(model.anharmonic.items())[1], "g"),
+                              kappa=kappa)
         try:
             cols = wavefunction_factors(closed, args.n, args.hbar, args.grid)
         except OverflowError as exc:

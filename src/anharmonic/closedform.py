@@ -122,19 +122,21 @@ def _gauss_legendre() -> tuple:
     return np.concatenate((x10, x21)), weights
 
 
-def _quadrature(f, a: float, b: float, epsabs: float, epsrel: float,
+def _quadrature(f, edges: np.ndarray, epsabs: float, epsrel: float,
                 limit: int) -> float:
-    """int_a^b f(t) dt for an f that maps an array of t to an array.
+    """int f(t) dt over [edges[0], edges[-1]] for an f that maps an array
+    of t to an array.
 
-    Composite 21-point Gauss-Legendre on 16 equal panels; every panel of
-    one level is evaluated in one array, and each panel whose 10- and
-    21-point values differ by more than its width's share of
+    Composite 21-point Gauss-Legendre, starting from the panels between
+    consecutive ``edges``, which the caller fits to its integrand; every
+    panel of one level is evaluated in one array, and each panel whose 10-
+    and 21-point values differ by more than its width's share of
     max(epsabs, epsrel |I|) is bisected.  More than ``limit`` panels raise
     NotConverged with the summed |G21 - G10| of the last partition."""
+    a, b = edges[0], edges[-1]
     if a == b:
         return 0.0
     nodes, weights = _gauss_legendre()
-    edges = np.linspace(a, b, 17)
     lo, hi = edges[:-1], edges[1:]
     done = done_err = 0.0
     count = len(lo)
@@ -214,7 +216,8 @@ def s0_closed(model: Kappa1DModel, x: float) -> float:
     c = 2.0 * g / (m * w * w)
     p2 = 2 * model.kappa - 2
     return _quadrature(lambda s: s * m * w * np.sqrt(1.0 + c * s ** p2),
-                       0.0, abs(x), epsabs=1e-14, epsrel=1e-12, limit=200)
+                       np.linspace(0.0, abs(x), 17), epsabs=1e-14, epsrel=1e-12,
+                       limit=200)
 
 
 def q_closed(model: Kappa1DModel, x: float) -> float:

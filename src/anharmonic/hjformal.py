@@ -11,12 +11,15 @@ E x^k = (sum_i k_i omega_i) x^k.  The transport equation
 which involves only lower slices of u.  So u is built one homogeneous slice
 at a time, forming just that slice of the product (an online or "relaxed"
 product: van der Hoeven, *Relax, but don't be too lazy*, 2002) and dividing
-each monomial x^k by sum_i k_i omega_i - shift.  A slice is integer
-numerators over one denominator at packed keys, (L, [(key, n), ...]) as in
-PolySeries.graded, one per axis for a gradient; sources and products sum
-into one integer accumulator, whose division by the integer divisors is
-again one canonical slice, so the solution is built as a view.  The
-nonlinear equation (1/2m)|grad S0|^2 = V has the same shape, with shift 0:
+each monomial x^k by sum_i k_i omega_i - shift.  Only the degrees that some
+term reaches are visited: those of rhs and of the kernel, the pinned one, and
+a + b - 2 for each slice h_a once u_b is nonzero (on 1D x^(2 kappa) models
+most degrees are empty).  A slice is integer numerators over one denominator
+at packed keys, (L, [(key, n), ...]) as in PolySeries.graded, one per axis
+for a gradient; sources and products sum into one integer accumulator, whose
+division by the integer divisors is again one canonical slice, so the
+solution is built as a view.  The nonlinear equation (1/2m)|grad S0|^2 = V
+has the same shape, with shift 0:
 
     E s_d = V_d - (1/2m) sum_{i+j=d+2; i,j>=3} grad s_i . grad s_j.
 
@@ -134,10 +137,16 @@ def solve_transport(action: FormalAction, shift, trunc: int,
         pin_degree, pin_key = sum(seed), pack(seed)
     else:  # the kernel's lowest slice is (1, [(pinned key, 1)])
         pin_degree, (_, [(pin_key, _)]) = next(iter(kernel.graded().items()))
+    # the degrees some term can reach; every other accumulator is empty
+    reach = {pin_degree, *(d for graded, _ in sources for d in graded)}
+    if kernel is not None:
+        reach.update(kernel.graded())
     view: dict = {}
     grads: dict = {}  # degree b >= 1 -> grad u_b, nonempty slices only
     lam = Fraction(0)
     for d in range(trunc + 1):
+        if d not in reach:
+            continue
         acc = [1, {}]
         for graded, weight in sources:
             add_slice(acc, graded.get(d), weight)
@@ -156,6 +165,7 @@ def solve_transport(action: FormalAction, shift, trunc: int,
             view[d] = part
             if d:
                 grads[d] = _gradient(part, dim)
+                reach.update(a + d - 2 for a in field)
     return PolySeries._from_view(dim, trunc, view), lam
 
 

@@ -1,15 +1,20 @@
 """Borel-Pade resummation of divergent energy series, with a spectral
 diagonalization reference.
 
-The Borel transform b_k = c_k / k! is scaled once to integers by the lcm
-of its denominators and Pade-approximated with an exact fraction-free
-integer solve (so approximant construction adds no floating-point noise).
-After checking that no Pade pole sits on the positive integration ray, the
+A [p/q] approximant reads only the first p + q + 1 coefficients c_k.  Their
+Borel transform b_k = c_k / k! is scaled to integers by the lcm of its
+denominators and Pade-approximated with an exact fraction-free integer
+solve (so approximant construction adds no floating-point noise).  After
+checking that no Pade pole sits on the positive integration ray, the
 Laplace integral sum = int_0^inf e^(-t) P(mu t) dt is cut at t = 45 and
 evaluated in numpy by composite Gauss-Legendre quadrature
-(``closedform._quadrature``): 16 equal panels, the 21-point rule on each,
-and every panel whose 10- and 21-point values disagree by more than its
-share of the tolerance bisected; more than 400 panels raise NotConverged.
+(``closedform._quadrature``): 10 geometric panels from t = 0.15 to 45 after
+one on [0, 0.15], the 21-point rule on each, and every panel whose 10- and
+21-point values disagree by more than its share of the tolerance bisected;
+more than 400 panels raise NotConverged.  The panels grow with t because
+near t = 0 their width is limited by the distance to the nearest Borel
+singularity (t = -1/(3 mu) for the quartic, at least 1/3 for mu <= 1), and
+beyond t ~ 1 e^(-t) makes the integrand small enough for coarse panels.
 
 The reference E_n is eigenvalue n of H = p^2/2m + (1/2) m w^2 x^2
 + g x^(2 kappa) (units hbar = m = w = 1, g = mu), a banded matrix in the
@@ -27,11 +32,14 @@ from fractions import Fraction
 import numpy as np
 
 from .closedform import _horner, _quadrature
-from .errors import (IndexOutOfRange, InsufficientCoefficients, NotConverged,
-                     PoleOnRay, UnsupportedKappa)
+from .errors import (DomainExceeded, IndexOutOfRange, InsufficientCoefficients,
+                     NotConverged, PoleOnRay, UnsupportedKappa)
+from .series import to_floats
 from .transport import _plain
 
 _TAIL_CUTOFF = 45.0  # e^-t < 1e-18 beyond this
+# the Laplace integral's initial panels (see the module docstring)
+_LAPLACE_EDGES = np.concatenate(([0.0], np.geomspace(0.15, _TAIL_CUTOFF, 10)))
 
 
 def _exact_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
@@ -47,10 +55,14 @@ def _exact_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
             raise InsufficientCoefficients(
                 "singular Pade system; lower the denominator degree")
         a[k], a[pivot] = a[pivot], a[k]
+        top, tail = a[k][k], a[k][k + 1:]
         for r in range(k + 1, n):
-            a[r][k:] = [(v * a[k][k] - a[r][k] * w) // prev
-                        for v, w in zip(a[r][k:], a[k][k:])]
-        prev = a[k][k]
+            row = a[r]
+            lead = row[k]
+            row[k + 1:] = [(v * top - lead * w) // prev
+                           for v, w in zip(row[k + 1:], tail)]
+            row[k] = 0
+        prev = top
     x = [prev * row[n] for row in a]
     for i in reversed(range(n)):
         x[i] = (x[i] - sum(a[i][j] * x[j] for j in range(i + 1, n))) // a[i][i]
@@ -65,7 +77,8 @@ def pade_coefficients(series: list[Fraction], p: int, q: int):
         raise InsufficientCoefficients(
             f"[{p}/{q}] Pade needs {p + q + 1} coefficients, got {len(series)}",
             required=p + q + 1, available=len(series))
-    b = [Fraction(c) for c in series]
+    # the solve reads only c_0..c_(p+q), and so does every step-down
+    b = [Fraction(c) for c in series[:p + q + 1]]
     scale = math.lcm(*(v.denominator for v in b))
     c = [v.numerator * (scale // v.denominator) for v in b]  # scale * b
 
@@ -94,45 +107,53 @@ def pade_coefficients(series: list[Fraction], p: int, q: int):
             [Fraction(v, det) for v in den])
 
 
-def _poles_on_ray(den: list[Fraction], mu: float) -> list[float]:
-    """Positive t at which the denominator vanishes at s = mu t: the real
-    roots r with r / mu > 0, whatever the sign of mu (none for mu = 0)."""
-    coeffs = [float(c) for c in reversed(den)]
-    if len(coeffs) < 2 or mu == 0:
+def _poles_on_ray(den: list[float], mu: float) -> list[float]:
+    """Positive t < _TAIL_CUTOFF at which the denominator vanishes at
+    s = mu t: the real roots r with r / mu in that range, whatever the sign
+    of mu (none for mu = 0).  A root is tested without dividing by mu, which
+    could overflow for a tiny mu; one on the ray gives |r / mu| < 45."""
+    if len(den) < 2 or mu == 0:
         return []
-    roots = np.roots(coeffs)
     hits = []
-    for r in roots:
-        if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)):
-            t_pole = r.real / mu
-            if 0 < t_pole < _TAIL_CUTOFF:
-                hits.append(float(t_pole))
+    for r in np.roots(den[::-1]):
+        if (abs(r.imag) < 1e-9 * max(1.0, abs(r.real))
+                and 0 < r.real * math.copysign(1.0, mu) < _TAIL_CUTOFF * abs(mu)):
+            hits.append(float(r.real / mu))
     return sorted(hits)
 
 
 def borel_pade(series, mu: float, p: int, q: int) -> float:
     """Borel sum of sum_k c_k mu^k via an exact [p/q] Pade of the transform."""
-    num, den = pade_coefficients(_plain([Fraction(c) for c in series]), p, q)
-    poles = _poles_on_ray(den, mu)
+    # only c_0..c_(p+q) enter; a shorter series or a negative order reaches
+    # pade_coefficients' checks unchanged
+    head = series[:max(p, 0) + max(q, 0) + 1]
+    num, den = pade_coefficients(_plain([Fraction(c) for c in head]), p, q)
+    num_f = to_floats(num, f"[{p}/{q}] Pade numerator")
+    den_f = to_floats(den, f"[{p}/{q}] Pade denominator")
+    poles = _poles_on_ray(den_f, mu)
     if poles:
         raise PoleOnRay(
             f"Pade denominator vanishes on the integration ray at "
             f"t = {poles[0]:.6g}", poles=poles)
-    num_f = [float(c) for c in num]
-    den_f = [float(c) for c in den]
 
     def integrand(t):
         return np.exp(-t) * _horner(num_f, mu * t) / _horner(den_f, mu * t)
 
-    return _quadrature(integrand, 0.0, _TAIL_CUTOFF, epsabs=1e-13,
-                       epsrel=1e-12, limit=400)
+    return _quadrature(integrand, _LAPLACE_EDGES, epsabs=1e-13, epsrel=1e-12,
+                       limit=400)
 
 
 def partial_sums(series, mu: float) -> list[float]:
     out = []
     total = 0.0
-    for k, c in enumerate(series):
-        total += float(c) * mu ** k
+    for k, c in enumerate(to_floats(series, "series")):
+        try:
+            total += c * mu ** k
+        except OverflowError:  # mu ** k itself; a product overflows to inf
+            total = math.inf
+        if not math.isfinite(total):
+            raise DomainExceeded(f"partial sum {k} at mu = {mu} is past the "
+                                 f"double range", order=k)
         out.append(total)
     return out
 

@@ -22,10 +22,11 @@ evaluation or JSON read them, and equality compares the slices.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import AxisOutOfRange, DegreeOutOfRange, DimensionMismatch
+from .errors import (AxisOutOfRange, DegreeOutOfRange, DimensionMismatch,
+                     DomainExceeded)
 
 MultiIndex = tuple
 
@@ -53,6 +54,27 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def to_float(value, what: str) -> float:
+    """The double nearest an exact rational (0.0 if it underflows);
+    DomainExceeded naming ``what`` if it lies past the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        value = Fraction(value)
+        digits = round(log10(2) * (abs(value.numerator).bit_length()
+                                   - value.denominator.bit_length()))
+        raise DomainExceeded(f"{what}, about 10^{digits} in size, is past the "
+                             f"double range", value=what) from None
+
+
+def to_floats(values: Sequence, what: str) -> list[float]:
+    """``to_float`` of each entry, ``what[i]`` naming entry i."""
+    try:
+        return [float(value) for value in values]
+    except OverflowError:  # the second pass raises, naming the entry
+        return [to_float(value, f"{what}[{i}]") for i, value in enumerate(values)]
 
 
 def grlex_key(index: MultiIndex):

@@ -67,7 +67,7 @@ from .errors import (
     NoConvergence,
 )
 from .model import OscillatorModel
-from .series import unpack
+from .series import to_float, to_floats, unpack
 
 
 NODES = 24  # default polynomial degree N of the curve
@@ -96,8 +96,13 @@ class _ModelEval:
 
     def __init__(self, model: OscillatorModel):
         self.dim = n = model.dim
-        self.mass = float(model.mass)
-        self.omega = np.array([float(w) for w in model.omega])
+        self.mass = to_float(model.mass, "m")
+        self.omega = np.array(to_floats(model.omega, "omega"))
+        if self.mass == 0.0:
+            raise DomainExceeded("m rounds to 0.0 as a double")
+        if not self.omega.min() > 0.0:
+            raise DomainExceeded(f"omega[{int(self.omega.argmin())}] rounds to "
+                                 f"0.0 as a double")
         self.rate, self.powers = _time_scale(model)
         V = model.potential_series(max(2, model.anharmonic.trunc))
         grad = V.gradient()
@@ -105,8 +110,16 @@ class _ModelEval:
                  *(g.partial_derivative(j) for g in grad for j in range(n))]
         # num / den straight from the integer view: int division rounds
         # correctly, as float(Fraction(num, den)) does
-        terms = [[(k, num / den) for den, part in p.graded().values()
-                  for k, num in part] for p in parts]
+        try:
+            terms = [[(k, num / den) for den, part in p.graded().values()
+                      for k, num in part] for p in parts]
+        except OverflowError:  # name the first coefficient past the range
+            names = ["V", *(f"d{i} V" for i in range(n)),
+                     *(f"d{j} d{i} V" for i in range(n) for j in range(n))]
+            for name, p in zip(names, parts):
+                for index, c in p.items():
+                    to_float(c, f"the x^{list(index)} coefficient of {name}")
+            raise
         keys = sorted({k for t in terms for k, _ in t},
                       key=lambda k: unpack(k, n))
         row = {k: r for r, k in enumerate(keys)}
@@ -774,12 +787,13 @@ def semi_flow(model: OscillatorModel, x, nodes: int = NODES,
     is integrated from p(0) = grad S_0(x): one sample, where the far points
     would need a degree growing with |gamma|.
     """
-    horizon = 10.0 / float(model.omega_min) if t_span is None else float(t_span)
+    provider = MomentumProvider(model, nodes)  # first: it converts m and omega
+    mass = provider._ev.mass
+    horizon = (10.0 / float(provider._ev.omega.min()) if t_span is None
+               else float(t_span))
     if not 0.0 < horizon < math.inf:  # false for NaN as well
         raise ModelFormatError(
             f"t_span must be a finite number > 0, got {t_span}")
-    provider = MomentumProvider(model, nodes)
-    mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
     if forward:
@@ -824,11 +838,11 @@ def numeric_s1(model: OscillatorModel, x) -> float:
     curve's tail s' -> gamma(s s') for its minimizer, so each of those
     minimizations starts from that tail (``MomentumProvider._tail_start``).
     """
-    mass = float(model.mass)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if float(np.linalg.norm(x)) == 0.0:
         return 0.0
     provider = MomentumProvider(model)
+    mass = provider._ev.mass
     points = provider.minimize(x).points
     spec, rate = provider._spec, provider._ev.rate
     fields = provider._fields(points)

@@ -647,6 +647,110 @@ class TestExitCodes:
         assert payload["error"] == error
         assert message in payload["message"]
 
+    QUARTIC_A = {"terms": [{"k": [4], "c": "1"}]}
+    # a model field past the double range -> (model fields, the message of
+    # the float commands, that of the closed scan)
+    HUGE = {
+        "c": ({"A": {"terms": [{"k": [4], "c": "1e400"}]}},
+              "the x^[4] coefficient of V, about 10^400", "g, about 10^400"),
+        "m": ({"mass": "1e400", "A": QUARTIC_A}, "m, about 10^400",
+              "m, about 10^400"),
+        "omega": ({"omega": ["1e400"], "A": QUARTIC_A}, "omega[0], about 10^400",
+                  "omega, about 10^400"),
+    }
+    FLOAT_COMMANDS = {
+        "check-model": ("check-model",),
+        "variational": ("variational", "--point", "0.5"),
+        "flow": ("flow", "--point", "0.5"),
+        "flow-forward": ("flow", "--point", "0.5", "--forward"),
+        "scan-variational": ("scan", "--grid", "0.2:0.6:3", "--engine", "variational"),
+        "scan-closed": ("scan", "--grid", "0.2:0.6:3", "--engine", "closed"),
+    }
+
+    @pytest.mark.parametrize("field", HUGE)
+    @pytest.mark.parametrize("command", FLOAT_COMMANDS)
+    @pytest.mark.filterwarnings("error")
+    def test_model_past_the_double_range_is_2(self, capsys, tmp_path, command,
+                                               field):
+        """An exact model value that no double can hold ends in
+        DomainExceeded naming it, not in an OverflowError from its
+        conversion."""
+        fields, message, closed_message = self.HUGE[field]
+        argv = self.FLOAT_COMMANDS[command]
+        path = tmp_path / "huge.json"
+        path.write_bytes(model_1d(**fields))
+        code, out, err = run_cli(capsys, argv[0], "--model", str(path), *argv[1:])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainExceeded"
+        assert (closed_message if command == "scan-closed" else message) \
+            in payload["message"]
+
+    @pytest.mark.parametrize("field, message", [
+        ({"omega": ["1e-400"]}, "omega[0] rounds to 0.0"),
+        ({"mass": "1e-400"}, "m rounds to 0.0"),
+    ], ids=["omega", "m"])
+    @pytest.mark.parametrize("command", [c for c in FLOAT_COMMANDS
+                                         if c != "scan-closed"])
+    @pytest.mark.filterwarnings("error")
+    def test_model_value_rounding_to_zero_is_2(self, capsys, tmp_path, command,
+                                               field, message):
+        """A frequency below the smallest double would divide by zero in the
+        curve's time scale, and a mass there would fail Newton as an
+        under-resolved curve (the closed scan rejects a zero m or omega0
+        itself)."""
+        argv = self.FLOAT_COMMANDS[command]
+        path = tmp_path / "tiny.json"
+        path.write_bytes(model_1d(**field, A=self.QUARTIC_A))
+        code, out, err = run_cli(capsys, argv[0], "--model", str(path), *argv[1:])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainExceeded"
+        assert message in payload["message"]
+
+    @pytest.mark.parametrize("series, pade, mu, message", [
+        (["1", "1e400", "1", "1", "1", "1"], "1,1", "0.1",
+         "[1/1] Pade numerator[1], about 10^400"),
+        (["1", "1", "1", "1", "1", "1e400"], "2,2", "0.1", "series[5], about 10^400"),
+        (["1/2", "3/4", "-21/8"], "0,0", "1e200", "partial sum 2"),
+        (["1/2", "1e300", "1"], "0,0", "1e10", "partial sum 1"),
+    ], ids=["pade", "series", "mu-power", "product"])
+    @pytest.mark.filterwarnings("error")
+    def test_series_past_the_double_range_is_2(self, capsys, tmp_path, series,
+                                                pade, mu, message):
+        """A [p/q] sum reads c_0..c_(p+q) only; the partial sums read every
+        entry, and mu^k or c_k mu^k may overflow even when c_k does not
+        (a series shorter than 9 entries has no Pade table to fail first)."""
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(series))
+        code, out, err = run_cli(capsys, "resum", "--series", str(path),
+                                 "--mu", mu, "--pade", pade)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainExceeded"
+        assert message in payload["message"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_resum_at_a_subnormal_mu_is_quiet(self, capsys):
+        """A root r is on the ray when 0 < r sign(mu) < 45 |mu|: r / mu
+        would overflow, with a warning, at mu = 1e-320."""
+        code, out, err = run_cli(capsys, "resum", "--series",
+                                 "builtin:quartic-ground", "--mu=1e-320")
+        assert code == 0 and err == ""
+        assert json.loads(out)["borel_pade_value"] == pytest.approx(0.5, abs=1e-15)
+
+    def test_rs_csv_past_the_double_range_is_2(self, capsys):
+        """The csv float column of an x^32 coefficient near 10^320; the
+        JSON output holds the exact rationals alone."""
+        argv = ("rs", "--kappa", "16", "--n", "10", "--order", "12")
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainExceeded"
+        assert "coefficient 11, about 10^320" in payload["message"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["coefficients"]) == 13
+
     def test_kappa_required_subcommand_is_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compare",
                                "--model", degenerate_model_file(tmp_path))

@@ -21,10 +21,12 @@ FLAG = None  # an option that takes no value
 SEPARATORS = {"--grid": ":", "--box": ":", "--point": ",", "--pade": ",",
               "--levels": ","}
 
-# BADDIM and BADTRUNC hold a fractional dim and A.trunc
-MODELS = ["builtin:quartic", "builtin:sectic", "MODEL2D", "BADDIM", "BADTRUNC"]
-# input files that no run may accept
-BAD_FILES = {"BADDIM", "BADTRUNC", "BADSERIES", "BOOLSERIES"}
+# BADDIM and BADTRUNC hold a fractional dim and A.trunc, HUGEMODEL and
+# HUGESERIES a rational past the double range
+MODELS = ["builtin:quartic", "builtin:sectic", "MODEL2D", "BADDIM", "BADTRUNC",
+          "HUGEMODEL"]
+# input files that no run may accept (the partial sums read every entry)
+BAD_FILES = {"BADDIM", "BADTRUNC", "BADSERIES", "BOOLSERIES", "HUGESERIES"}
 POINTS = ["0.5", "-0.8", "1.5", "0.5,-0.3"]
 # Valid values stop where only the run time would grow: orders <= 8, grids
 # of at most 3 points, --nodes <= 64 and a backward --t-span <= 2.  The
@@ -47,8 +49,8 @@ GRAMMAR = {
     "flow": {"--model": MODELS, "--point": POINTS, "--t-span": ["1", "2"],
              "--nodes": NODES, "--forward": FLAG},
     "resum": {"--series": ["builtin:quartic-ground", "SERIES", "BADSERIES",
-                           "BOOLSERIES"],
-              "--mu": ["0.05", "0.1", "1"], "--pade": ["2,2", "5,5"],
+                           "BOOLSERIES", "HUGESERIES"],
+              "--mu": ["0.05", "0.1", "1", "1e-320"], "--pade": ["2,2", "5,5"],
               "--kappa": ["2"], "--n": ["0", "1"], "--basis": ["100", "200"]},
     "sternberg": {"--model": MODELS, "--degree": ["3", "7"]},
     "check-model": {"--model": MODELS, "--box": ["-0.7:0.7", "0:1"]},
@@ -99,9 +101,15 @@ def files(tmp_path_factory):
     bad_trunc = root / "bad-trunc.json"
     bad_trunc.write_text(json.dumps({**quartic, "dim": 1, "A": {
         "trunc": 4.9, "terms": [{"k": [4], "c": "1"}]}}))
+    huge_model = root / "huge-model.json"
+    huge_model.write_text(json.dumps({**quartic, "dim": 1, "A": {
+        "terms": [{"k": [4], "c": "1e400"}]}}))
+    huge_series = root / "huge-series.json"
+    huge_series.write_text(json.dumps(["1", "1e400", "1", "1", "1", "1"]))
     return {"MODEL2D": str(model), "SERIES": str(series), "BADSERIES": str(bad),
             "BOOLSERIES": str(boolean), "BADDIM": str(bad_dim),
-            "BADTRUNC": str(bad_trunc)}
+            "BADTRUNC": str(bad_trunc), "HUGEMODEL": str(huge_model),
+            "HUGESERIES": str(huge_series)}
 
 
 def reject_constant(name):

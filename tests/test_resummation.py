@@ -144,8 +144,16 @@ class TestBorelPade:
             math.exp(mu), abs=1e-10)
 
     def test_insufficient_coefficients(self):
-        with pytest.raises(InsufficientCoefficients):
+        """borel_pade cuts the series to c_0..c_(p+q) but still reports the
+        whole series' length, and a negative order before any length."""
+        with pytest.raises(InsufficientCoefficients) as info:
             borel_pade([Fraction(1)] * 8, 0.1, 5, 5)
+        assert info.value.message == "[5/5] Pade needs 11 coefficients, got 8"
+        assert info.value.payload == {"required": 11, "available": 8}
+        for p, q in ((-1, 2), (2, -1)):
+            with pytest.raises(InsufficientCoefficients,
+                               match="^Pade orders must be non-negative$"):
+                borel_pade([Fraction(1)] * 2, 0.1, p, q)
 
     def test_pole_on_ray(self):
         """Borel transform of sum k! mu^k is 1/(1 - s): pole on the ray."""
@@ -206,15 +214,56 @@ class TestLaplaceQuadrature:
         def poly(coeffs, s):
             return sum(c * s ** k for k, c in enumerate(coeffs))
 
-        for mu in (0.05, 0.3, 1.0):
+        for mu in (0.05, 0.3, 1.0, 2.0):
             expect, _ = quad(lambda t: math.exp(-t) * poly(num_f, mu * t)
                              / poly(den_f, mu * t), 0.0, resummation._TAIL_CUTOFF,
                              epsabs=1e-13, epsrel=1e-12, limit=400)
             assert borel_pade(quartic24, mu, p, q) == pytest.approx(
                 expect, rel=1e-13, abs=0), mu
 
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 1.0, 2.0])
+    def test_graded_partition_converges_in_one_pass(self, monkeypatch,
+                                                    quartic24, mu):
+        """Every approximant's integrand is evaluated once, on the initial
+        panels, and the value agrees within 2e-15 with the same quadrature
+        started from 16 equal panels (which needed up to five passes)."""
+        real = resummation._quadrature
+        calls = []
+
+        def counted(f, edges, **kwargs):
+            def g(t):
+                calls.append(t.shape)
+                return f(t)
+            value = real(g, edges, **kwargs)
+            equal = real(f, np.linspace(0.0, resummation._TAIL_CUTOFF, 17), **kwargs)
+            assert value == pytest.approx(equal, rel=0, abs=2e-15)
+            return value
+
+        monkeypatch.setattr(resummation, "_quadrature", counted)
+        for p, q in RESUM_ORDERS:
+            calls.clear()
+            borel_pade(quartic24, mu, p, q)
+            assert len(calls) == 1, (p, q)
+
 
 class TestExactSolve:
+    @pytest.mark.parametrize("p, q", RESUM_ORDERS)
+    def test_coefficients_past_p_plus_q_are_not_read(self, monkeypatch,
+                                                     quartic24, p, q):
+        """A coefficient with a 200-bit denominator after c_(p+q) changes
+        neither the approximant nor the integer rows of its solve."""
+        head = quartic24[:p + q + 1]
+        longer = head + [Fraction(1, 2 ** 199 + 1)]
+        real = resummation._exact_solve
+        rows = []
+        monkeypatch.setattr(resummation, "_exact_solve",
+                            lambda r: rows.append(r) or real(r))
+        for series in (head, longer):
+            assert pade_coefficients(borel_transform(series), p, q) == \
+                pade_coefficients(borel_transform(head), p, q)
+            assert borel_pade(series, 0.3, p, q) == borel_pade(quartic24, 0.3, p, q)
+        assert all(r == rows[0] for r in rows)
+
     def test_quartic_orders_match_fraction_solve(self, monkeypatch, quartic24):
         borel = borel_transform(quartic24)
         for p, q in RESUM_ORDERS:

@@ -20,7 +20,7 @@ from anharmonic.hjformal import (
     sternberg_residual,
 )
 from anharmonic.model import OscillatorModel, kappa_model
-from anharmonic.series import PolySeries, dot_gradients
+from anharmonic.series import PolySeries, dot_gradients, unpack
 from anharmonic.transport import (
     GroundExpansion,
     energy_series,
@@ -50,6 +50,33 @@ class TestGround:
         assert energy_series(ground) == [
             Fraction(1, 2), Fraction(3, 4), Fraction(-21, 8),
             Fraction(333, 16)]
+
+    def test_solves_skip_degrees_nothing_reaches(self, monkeypatch):
+        """On x^8 the slices of S_0 above degree 2 sit at 8, 14, 20, ...,
+        so the order-k right side and S_k live at degrees = 2 - 2k (mod 6):
+        each solve divides there and at its pinned degree 0, and only the
+        pinned accumulator may be empty."""
+        from anharmonic import hjformal
+        order = 8
+        action = solve_hj_formal(kappa_model(4), 2 * order + 2)
+        real = hjformal._divide
+        solves = []
+
+        def divide(acc, freq, pin=None):
+            if pin is not None:  # the pinned degree 0 opens each solve
+                solves.append([])
+            degrees = {unpack(k, 1)[0] for k, n in acc[1].items() if n}
+            assert len(degrees) == 1 or (pin is not None and not degrees)
+            solves[-1].append(degrees.pop() if degrees else 0)
+            return real(acc, freq, pin)
+
+        monkeypatch.setattr(hjformal, "_divide", divide)
+        ground_expansion(action, order)
+        assert len(solves) == order
+        for k, degrees in enumerate(solves, start=1):
+            trunc = 2 * order + 2 - 2 * k
+            assert degrees == sorted(
+                {0} | {d for d in range(trunc + 1) if (d + 2 * k - 2) % 6 == 0}), k
 
     def test_residuals_are_zero_series(self):
         ground = expand(kappa_model(2, g="1/10"), 5)
